@@ -137,6 +137,17 @@ def condition_holds(code: CodeParams, ch: ChannelParams, model: str) -> bool:
 _FREE_FIELDS = {"y": "y", "p": "p", "pX": "p_X", "p_X": "p_X", "pZ": "p_Z", "p_Z": "p_Z", "q": "q"}
 
 
+def with_rate(fixed: ChannelParams, free: str, value: float, model: str) -> ChannelParams:
+    """fixed with the rate named free (any spelling in _FREE_FIELDS) set
+    to value; p under a CSS model sets p_X = p_Z = value."""
+    if free not in _FREE_FIELDS:
+        raise ValidationError(f"unknown free parameter {free!r}")
+    field = _FREE_FIELDS[free]
+    if field == "p" and model in ("css", "ft-css"):
+        return replace(fixed, p_X=value, p_Z=value)
+    return replace(fixed, **{field: value})
+
+
 def solve_threshold(
     code: CodeParams,
     free: str,
@@ -151,20 +162,12 @@ def solve_threshold(
     bracket ([0, 1] for y, [0, 1/2] otherwise), so bisection applies.
     free='p' under a CSS model ties p_X = p_Z = p.
     """
-    if free not in _FREE_FIELDS:
-        raise ValidationError(f"unknown free parameter {free!r}")
-    field = _FREE_FIELDS[free]
     rhs = code.rhs()
-    tie_xz = field == "p" and model in ("css", "ft-css")
 
     def lhs_at(t: float) -> float:
-        if tie_xz:
-            ch = replace(fixed, p_X=t, p_Z=t)
-        else:
-            ch = replace(fixed, **{field: t})
-        return condition_lhs(code, ch, model)
+        return condition_lhs(code, with_rate(fixed, free, t, model), model)
 
-    lo, hi = 0.0, 1.0 if field == "y" else 0.5
+    lo, hi = 0.0, 1.0 if free == "y" else 0.5
     if lhs_at(lo) > rhs:
         raise ValidationError("condition already violated at rate 0")
     if lhs_at(hi) <= rhs:

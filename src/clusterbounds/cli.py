@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .bounds import (
@@ -25,6 +24,7 @@ from .bounds import (
     exact_bad_probability_depol,
     exact_bad_probability_ft,
     solve_threshold,
+    with_rate,
 )
 from .clusters import brute_force_census, census_bound, enumerate_clusters
 from .codes import ft_extend, hypergraph_product, new_css, new_stabilizer, toric_code
@@ -184,15 +184,13 @@ def _cmd_threshold(args) -> int:
             a_name, b_name = args.curve.split(":")
         except ValueError:
             raise ValidationError("curve spec must look like y:p")
+        for name in (a_name, b_name):
+            with_rate(fixed, name, 0.0, args.model)  # rejects an unknown name
         a_max = solve_threshold(code, a_name, fixed, model=args.model)
         rows = []
         for i in range(args.points):
             a = a_max * i / (args.points - 1) if args.points > 1 else 0.0
-            field = {"y": "y", "p": "p", "pX": "p_X", "pZ": "p_Z", "q": "q"}[a_name]
-            if field == "p" and args.model in ("css", "ft-css"):
-                fixed_a = replace(fixed, p_X=a, p_Z=a)
-            else:
-                fixed_a = replace(fixed, **{field: a})
+            fixed_a = with_rate(fixed, a_name, a, args.model)
             try:
                 b = solve_threshold(code, b_name, fixed_a, model=args.model)
             except ValidationError:

@@ -1,33 +1,43 @@
 """Enumeration, classification and counting of undetectable error clusters.
 
-The search seeds a single error entry somewhere, then repeatedly repairs
-the first violated check by placing one more entry inside that check's
-support, choosing an entry that flips the violated bit.  Every state
+Every sector is one flat list of entry columns.  An entry is a
+single-position error: a column of a binary sector (a single CSS sector
+or the space-time code), or one label on one qubit of the full-Pauli
+sector, where entry 3j + l puts "XYZ"[l] on qubit j.  Each entry carries
+its syndrome word, its key bit 1 << e and an exclusion mask over every
+entry of its position, so a cluster's key (the OR of its entry bits)
+also marks the positions it uses.
+
+The search seeds a single entry somewhere, then repeatedly repairs the
+first violated check by placing one more entry inside that check's
+support, choosing a free entry that flips the violated bit.  Every state
 whose syndrome reaches zero is one recorded cluster; states that cannot
 repair the first violated bit, or that hit the depth cap, backtrack.
 Each completion event is one recursion path, so a cluster is counted
 once per ordering of its entries that the repair rule admits.
 
-A census deduplicates recorded clusters and classifies each distinct one
+A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
-disjoint supports) and as a member of the degeneracy group or not.  The
-brute-force census reproduces all four per-weight counts independently:
-it scans every error configuration up to the weight cap, keeps the
-undetectable ones, and counts admissible orderings by dynamic
+disjoint supports) and as a member of the degeneracy group or not; the
+degeneracy test XORs one word per entry, (v|u) for a Pauli label and
+the column bit for a binary entry.  The brute-force census reproduces
+all four per-weight counts independently: the zero-sum scanner
+gf2.zero_sum_choices, which also serves the distance search, visits
+every choice of up to m_max positions with one entry each and keeps the
+undetectable ones, and admissible orderings are counted by dynamic
 programming over subsets instead of by recursion.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .codes import CssCode, FtCode, StabilizerCode
+from .codes import CssCode, FtCode, PauliOp, StabilizerCode
 from .errors import ResourceCapError, ValidationError
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, zero_sum_choices
 
 DEFAULT_CLUSTER_CAP = 10**7
 _PAULI_LABELS = "XYZ"
@@ -138,15 +148,13 @@ class ClusterCensus:
 
 @dataclass(frozen=True)
 class _Problem:
-    mode: str  # "pauli" or "binary"
-    n_cols: int
-    pack_n: int  # qubit count for pauli key packing; 0 for binary
-    # per check (sorted): tuple of (position, ((syndrome word, key word), ...))
+    width: int  # entries per position: 3 (labels X, Y, Z) in the full-Pauli sector, else 1
+    syn: tuple[int, ...]  # per entry: syndrome word over the checks in search order
+    deg: tuple[int, ...]  # per entry: word reduced against the degeneracy rows
+    # per check in search order: (syndrome word, key bit, exclusion mask)
+    # of every entry that flips it
     branches: tuple
-    seeds: tuple
-    # per position (and label in pauli mode): syndrome word of one entry
-    entry_syn: tuple
-    n_checks: int
+    seeds: tuple  # (syndrome word, key bit, exclusion mask) of every entry
     degeneracy_pivots: tuple[int, ...]
     degeneracy_rows: tuple[int, ...]
     bound_kind: str
@@ -154,74 +162,42 @@ class _Problem:
     bound_r: int
     bound_w: int
 
-    def decode(self, key: int) -> tuple:
-        """Key -> tuple of entries ((pos, label_id) in pauli mode)."""
-        if self.mode == "binary":
-            return tuple((j, None) for j in range(self.n_cols) if (key >> j) & 1)
-        n = self.pack_n
-        v = key & ((1 << n) - 1)
-        u = key >> n
-        entries = []
-        for j in range(n):
-            vb, ub = (v >> j) & 1, (u >> j) & 1
-            if vb or ub:
-                lab = 0 if (vb, ub) == (1, 0) else 1 if (vb, ub) == (1, 1) else 2
-                entries.append((j, lab))
-        return tuple(entries)
+    def cluster_of(self, entries) -> Cluster:
+        positions = tuple(e // self.width for e in entries)
+        if self.width == 1:
+            return Cluster(positions)
+        return Cluster(positions, tuple(_PAULI_LABELS[e % 3] for e in entries))
 
-    def syn_of(self, entry: tuple) -> int:
-        pos, lab = entry
-        return self.entry_syn[pos][lab] if self.mode == "pauli" else self.entry_syn[pos]
-
-    def key_of_cluster(self, cluster: Cluster) -> int:
-        key = 0
-        if self.mode == "binary":
+    def entries_of_cluster(self, cluster: Cluster) -> tuple[int, ...]:
+        if self.width == 1:
             if cluster.paulis is not None:
                 raise ValidationError("binary sector expects clusters without Pauli labels")
-            for j in cluster.positions:
-                key |= 1 << j
-            return key
+            return cluster.positions
         if cluster.paulis is None:
             raise ValidationError("full-Pauli sector expects labelled clusters")
-        n = self.pack_n
-        for j, ch in zip(cluster.positions, cluster.paulis):
-            lab = _PAULI_LABELS.index(ch.upper())
-            if lab in (0, 1):
-                key |= 1 << j
-            if lab in (1, 2):
-                key |= 1 << (n + j)
-        return key
-
-    def cluster_of_key(self, key: int) -> Cluster:
-        entries = self.decode(key)
-        if self.mode == "binary":
-            return Cluster(tuple(e[0] for e in entries))
-        return Cluster(
-            tuple(e[0] for e in entries),
-            tuple(_PAULI_LABELS[e[1]] for e in entries),
-        )
-
-    def entries_of_cluster(self, cluster: Cluster) -> tuple:
-        if self.mode == "binary":
-            return tuple((j, None) for j in cluster.positions)
         return tuple(
-            (j, _PAULI_LABELS.index(ch.upper()))
+            3 * j + _PAULI_LABELS.index(ch.upper())
             for j, ch in zip(cluster.positions, cluster.paulis)
         )
 
-    def in_degeneracy(self, key: int) -> bool:
+    def in_degeneracy(self, entries) -> bool:
+        word = 0
+        for e in entries:
+            word ^= self.deg[e]
         for c, row in zip(self.degeneracy_pivots, self.degeneracy_rows):
-            if (key >> c) & 1:
-                key ^= row
-        return key == 0
+            if (word >> c) & 1:
+                word ^= row
+        return word == 0
 
 
-def _pauli_label_id(vb: int, ub: int) -> int:
-    return 0 if (vb, ub) == (1, 0) else 1 if (vb, ub) == (1, 1) else 2
-
-
-def _sorted_check_order(weights: list[int]) -> list[int]:
-    return sorted(range(len(weights)), key=lambda i: (weights[i], i))
+def _entries(key: int) -> list[int]:
+    """Entry indices of a cluster key's set bits, ascending."""
+    out = []
+    while key:
+        low = key & -key
+        out.append(low.bit_length() - 1)
+        key ^= low
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -235,109 +211,78 @@ def _build_problem(code, sector: str) -> _Problem:
         else:
             raise ValidationError("full-Pauli enumeration needs a stabilizer or CSS code")
         n = stab.n
-        mask = (1 << n) - 1
-        gen_rows = list(stab.G.rows)
-        weights = [((r & mask) | (r >> n)).bit_count() for r in gen_rows]
-        order = _sorted_check_order(weights)
-        supports: list[list[tuple[int, int]]] = []
-        for i in order:
-            row = gen_rows[i]
-            v, u = row & mask, row >> n
-            supp = []
-            for j in range(n):
-                vb, ub = (v >> j) & 1, (u >> j) & 1
-                if vb or ub:
-                    supp.append((j, _pauli_label_id(vb, ub)))
-            supports.append(supp)
-        syn = [[0, 0, 0] for _ in range(n)]
-        for i, supp in enumerate(supports):
-            for j, g in supp:
-                for lab in range(3):
-                    if lab != g:
-                        syn[j][lab] |= 1 << i
-        keyw = [
-            [1 << j, (1 << j) | (1 << (n + j)), 1 << (n + j)] for j in range(n)
+        words = [
+            PauliOp.single(n, j, lab).to_binary().bits
+            for j in range(n)
+            for lab in _PAULI_LABELS
         ]
-        branches = tuple(
-            tuple(
-                (j, tuple((syn[j][lab], keyw[j][lab]) for lab in range(3) if lab != g))
-                for j, g in supp
-            )
-            for supp in supports
-        )
-        seeds = tuple(
-            (j, tuple((syn[j][lab], keyw[j][lab]) for lab in range(3))) for j in range(n)
-        )
-        pivots, rows = stab.G._rref()
-        return _Problem(
-            mode="pauli",
-            n_cols=n,
-            pack_n=n,
-            branches=branches,
-            seeds=seeds,
-            entry_syn=tuple(tuple(s) for s in syn),
-            n_checks=len(supports),
-            degeneracy_pivots=tuple(pivots),
-            degeneracy_rows=tuple(rows),
+        # a check-matrix row meets a (v|u) word with odd parity exactly
+        # when the generator and the entry anticommute
+        return _problem(
+            stab.H.rows,
+            words,
+            3,
+            stab.G,
             bound_kind="full",
             bound_n=n,
             bound_r=stab.r,
             bound_w=stab.w,
         )
-
     if sector in ("x", "z"):
         if not isinstance(code, CssCode):
             raise ValidationError("single-sector enumeration needs a CSS code")
         checks, degeneracy = code.sector(sector)
-        return _binary_problem(
-            checks,
+        return _problem(
+            checks.rows,
+            [1 << j for j in range(checks.cols)],
+            1,
             degeneracy,
             bound_kind="css",
             bound_n=code.n,
             bound_r=checks.nrows,
             bound_w=checks.max_row_weight(),
         )
-
     if not isinstance(code, FtCode):
         raise ValidationError("space-time enumeration needs an FtCode")
     qubit_mask = (1 << code.qubit_cols) - 1
-    w_base = max((row & qubit_mask).bit_count() for row in code.P.rows)
-    return _binary_problem(
-        code.P,
+    return _problem(
+        code.P.rows,
+        [1 << j for j in range(code.P.cols)],
+        1,
         code.Q,
         bound_kind="ft",
         bound_n=code.n,
         bound_r=code.r,
-        bound_w=w_base,
+        bound_w=max((row & qubit_mask).bit_count() for row in code.P.rows),
     )
 
 
-def _binary_problem(checks: BitMatrix, degeneracy: BitMatrix, **bound) -> _Problem:
-    n = checks.cols
-    rows = list(checks.rows)
-    order = _sorted_check_order([r.bit_count() for r in rows])
-    syn = [0] * n
-    supports = []
-    for i, idx in enumerate(order):
-        supp = [j for j in range(n) if (rows[idx] >> j) & 1]
-        supports.append(supp)
-        for j in supp:
-            syn[j] |= 1 << i
-    branches = tuple(
-        tuple((j, ((syn[j], 1 << j),)) for j in supp) for supp in supports
-    )
-    seeds = tuple((j, ((syn[j], 1 << j),)) for j in range(n))
-    pivots, rws = degeneracy._rref()
+def _problem(
+    check_rows, words: list[int], width: int, degeneracy: BitMatrix, **bound
+) -> _Problem:
+    """Entry e is word words[e] and flips check i when words[e] meets
+    check_rows[i] with odd parity.  Checks are served in ascending order
+    of the number of positions they touch, ties by row index."""
+    flips = [[e for e, w in enumerate(words) if (w & row).bit_count() & 1] for row in check_rows]
+    order = sorted(range(len(flips)), key=lambda i: (len({e // width for e in flips[i]}), i))
+    syn = [0] * len(words)
+    for i, c in enumerate(order):
+        for e in flips[c]:
+            syn[e] |= 1 << i
+    position = (1 << width) - 1
+
+    def entry(e: int) -> tuple[int, int, int]:
+        return syn[e], 1 << e, position << (e - e % width)
+
+    pivots, rows = degeneracy._rref()
     return _Problem(
-        mode="binary",
-        n_cols=n,
-        pack_n=0,
-        branches=branches,
-        seeds=seeds,
-        entry_syn=tuple(syn),
-        n_checks=len(supports),
+        width=width,
+        syn=tuple(syn),
+        deg=tuple(words),
+        branches=tuple(tuple(entry(e) for e in flips[c]) for c in order),
+        seeds=tuple(entry(e) for e in range(len(words))),
         degeneracy_pivots=tuple(pivots),
-        degeneracy_rows=tuple(rws),
+        degeneracy_rows=tuple(rows),
         **bound,
     )
 
@@ -360,26 +305,24 @@ def _run_seeds(branches, seeds, m_max: int, cap: int):
                 )
             found.add(key)
 
-    def go(used: int, key: int, s: int, depth: int) -> None:
+    def go(key: int, s: int, depth: int) -> None:
         i = (s & -s).bit_length() - 1
         nd = depth + 1
         extend = nd < m_max
-        for pos, opts in branches[i]:
-            if (used >> pos) & 1:
+        for ds, bit, excl in branches[i]:
+            if key & excl:
                 continue
-            for ds, dk in opts:
-                ns = s ^ ds
-                if ns == 0:
-                    record(key ^ dk, nd)
-                elif extend:
-                    go(used | (1 << pos), key ^ dk, ns, nd)
+            ns = s ^ ds
+            if ns == 0:
+                record(key | bit, nd)
+            elif extend:
+                go(key | bit, ns, nd)
 
-    for pos, opts in seeds:
-        for ds, dk in opts:
-            if ds == 0:
-                record(dk, 1)
-            elif m_max >= 2:
-                go(1 << pos, dk, ds, 1)
+    for ds, bit, _ in seeds:
+        if ds == 0:
+            record(bit, 1)
+        elif m_max >= 2:
+            go(bit, ds, 1)
     return paths, found
 
 
@@ -402,36 +345,40 @@ def _rank_of_words(words) -> int:
     return len(basis)
 
 
-def _classify(problem: _Problem, keys, m_max: int, keep: bool) -> ClusterCensus:
+def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
+    clusters = None
+    if kept is not None:
+        clusters = tuple(
+            tuple(sorted(cl, key=lambda c: (c.positions, c.paulis or ()))) for cl in kept
+        )
+    return ClusterCensus(
+        m_max=len(distinct) - 1,
+        distinct=tuple(distinct),
+        irreducible=tuple(irred),
+        irreducible_nonstabilizer=tuple(nonstab),
+        paths=tuple(paths),
+        clusters=clusters,
+    )
+
+
+def _classify(problem: _Problem, keys, paths: list[int], keep: bool) -> ClusterCensus:
+    m_max = len(paths) - 1
     distinct = [0] * (m_max + 1)
     irred = [0] * (m_max + 1)
     nonstab = [0] * (m_max + 1)
     kept: list[list[Cluster]] | None = [[] for _ in range(m_max + 1)] if keep else None
+    syn = problem.syn
     for key in keys:
-        entries = problem.decode(key)
+        entries = _entries(key)
         m = len(entries)
         distinct[m] += 1
-        cols = [problem.syn_of(e) for e in entries]
-        if m - _rank_of_words(cols) == 1:
+        if m - _rank_of_words([syn[e] for e in entries]) == 1:
             irred[m] += 1
-            if not problem.in_degeneracy(key):
+            if not problem.in_degeneracy(entries):
                 nonstab[m] += 1
         if kept is not None:
-            kept[m].append(problem.cluster_of_key(key))
-    clusters = None
-    if kept is not None:
-        clusters = tuple(
-            tuple(sorted(cl, key=lambda c: (c.positions, c.paulis or ())))
-            for cl in kept
-        )
-    return ClusterCensus(
-        m_max=m_max,
-        distinct=tuple(distinct),
-        irreducible=tuple(irred),
-        irreducible_nonstabilizer=tuple(nonstab),
-        paths=(0,) * (m_max + 1),  # replaced by caller
-        clusters=clusters,
-    )
+            kept[m].append(problem.cluster_of(entries))
+    return _census(distinct, irred, nonstab, paths, kept)
 
 
 def enumerate_clusters(
@@ -446,7 +393,7 @@ def enumerate_clusters(
 
     Checks are served in a fixed order (ascending weight, ties by
     original row index) so the counts are reproducible.  With
-    workers > 1 the seed set is split across processes; the merged
+    workers > 1 the seed entries are split across processes; the merged
     census does not depend on the schedule.
     """
     if m_max < 1:
@@ -455,14 +402,11 @@ def enumerate_clusters(
     if workers <= 1:
         paths, found = _run_seeds(problem.branches, problem.seeds, m_max, max_stored)
     else:
-        chunks = [list(problem.seeds[i::workers]) for i in range(workers)]
-        chunks = [c for c in chunks if c]
+        chunks = [problem.seeds[i::workers] for i in range(workers)]
         paths = [0] * (m_max + 1)
         found = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                (problem.branches, tuple(chunk), m_max, max_stored) for chunk in chunks
-            ]
+            jobs = [(problem.branches, chunk, m_max, max_stored) for chunk in chunks if chunk]
             for wpaths, wkeys in pool.map(_worker_run, jobs):
                 for m in range(m_max + 1):
                     paths[m] += wpaths[m]
@@ -471,18 +415,24 @@ def enumerate_clusters(
             raise ResourceCapError(
                 f"more than {max_stored} distinct clusters; raise the memory cap to continue"
             )
-    census = _classify(problem, found, m_max, keep_clusters)
-    return ClusterCensus(
-        m_max=m_max,
-        distinct=census.distinct,
-        irreducible=census.irreducible,
-        irreducible_nonstabilizer=census.irreducible_nonstabilizer,
-        paths=tuple(paths),
-        clusters=census.clusters,
-    )
+    return _classify(problem, found, paths, keep_clusters)
 
 
 # -- irreducibility -----------------------------------------------------
+
+
+def _columns(code, cluster: Cluster, sector: str):
+    """The problem, entries and per-entry syndrome words of an
+    undetectable cluster."""
+    problem = _build_problem(code, sector)
+    entries = problem.entries_of_cluster(cluster)
+    cols = [problem.syn[e] for e in entries]
+    syn = 0
+    for c in cols:
+        syn ^= c
+    if syn:
+        raise ValidationError("cluster is detectable, not undetectable")
+    return problem, entries, cols
 
 
 def is_irreducible(code, cluster: Cluster, sector: str = "full") -> bool:
@@ -494,39 +444,24 @@ def is_irreducible(code, cluster: Cluster, sector: str = "full") -> bool:
     its complement, i.e. a decomposition.  So the cluster is irreducible
     exactly when that kernel is one-dimensional.
     """
-    problem = _build_problem(code, sector)
-    entries = problem.entries_of_cluster(cluster)
-    cols = [problem.syn_of(e) for e in entries]
-    syn = 0
-    for c in cols:
-        syn ^= c
-    if syn:
-        raise ValidationError("cluster is detectable, not undetectable")
+    _, entries, cols = _columns(code, cluster, sector)
     return len(entries) - _rank_of_words(cols) == 1
 
 
 def is_irreducible_bruteforce(code, cluster: Cluster, sector: str = "full") -> bool:
     """Oracle form: scan all proper nonempty sub-supports for an
     undetectable restriction.  Weight is capped at 20."""
-    problem = _build_problem(code, sector)
-    entries = problem.entries_of_cluster(cluster)
-    m = len(entries)
-    if m > 20:
+    if cluster.weight > 20:
         raise ValidationError("brute-force irreducibility capped at weight 20")
-    syn_entry = [problem.syn_of(e) for e in entries]
-    table = _subset_syndromes(syn_entry)
-    if table[-1]:
-        raise ValidationError("cluster is detectable, not undetectable")
-    full = (1 << m) - 1
-    return not any(table[s] == 0 for s in range(1, full))
+    _, _, cols = _columns(code, cluster, sector)
+    table = _subset_syndromes(cols)
+    return not any(table[s] == 0 for s in range(1, len(table) - 1))
 
 
 def decompose(code, cluster: Cluster, sector: str = "full") -> tuple[Cluster, ...]:
     """Split an undetectable cluster into irreducible pieces on disjoint
     supports (the pieces multiply back to the cluster)."""
-    problem = _build_problem(code, sector)
-    entries = problem.entries_of_cluster(cluster)
-    cols = [problem.syn_of(e) for e in entries]
+    problem, entries, cols = _columns(code, cluster, sector)
 
     def split(entry_idx: list[int]) -> list[list[int]]:
         words = [cols[i] for i in entry_idx]
@@ -540,25 +475,8 @@ def decompose(code, cluster: Cluster, sector: str = "full") -> tuple[Cluster, ..
         right = [entry_idx[i] for i in range(m) if not (x >> i) & 1]
         return split(left) + split(right)
 
-    syn = 0
-    for c in cols:
-        syn ^= c
-    if syn:
-        raise ValidationError("cluster is detectable, not undetectable")
     parts = split(list(range(len(entries))))
-    out = []
-    for part in parts:
-        chosen = sorted(part)
-        if problem.mode == "binary":
-            out.append(Cluster(tuple(cluster.positions[i] for i in chosen)))
-        else:
-            out.append(
-                Cluster(
-                    tuple(cluster.positions[i] for i in chosen),
-                    tuple(cluster.paulis[i] for i in chosen),
-                )
-            )
-    return tuple(out)
+    return tuple(problem.cluster_of([entries[i] for i in sorted(part)]) for part in parts)
 
 
 def _kernel_vectors(words, m: int) -> list[int]:
@@ -617,52 +535,6 @@ def _count_orderings(syn_entry: list[int], table: list[int]) -> int:
     return f[full]
 
 
-def _pauli_scan_numpy(problem: _Problem, m_max: int, on_hit) -> None:
-    import numpy as np
-
-    n = problem.n_cols
-    if problem.n_checks > 64:
-        _pauli_scan_python(problem, m_max, on_hit)
-        return
-    masks = np.array(problem.entry_syn, dtype=np.uint64)  # (n, 3)
-    for m in range(1, m_max + 1):
-        digits = np.array(
-            list(itertools.product(range(3), repeat=m)), dtype=np.intp
-        )  # (3^m, m)
-        for combo in itertools.combinations(range(n), m):
-            acc = masks[combo[0], digits[:, 0]].copy()
-            for t in range(1, m):
-                acc ^= masks[combo[t], digits[:, t]]
-            for z in np.flatnonzero(acc == 0):
-                labs = digits[z]
-                on_hit(tuple((combo[t], int(labs[t])) for t in range(m)))
-
-
-def _pauli_scan_python(problem: _Problem, m_max: int, on_hit) -> None:
-    n = problem.n_cols
-    syn = problem.entry_syn
-    for m in range(1, m_max + 1):
-        for combo in itertools.combinations(range(n), m):
-            for labs in itertools.product(range(3), repeat=m):
-                s = 0
-                for t in range(m):
-                    s ^= syn[combo[t]][labs[t]]
-                if s == 0:
-                    on_hit(tuple((combo[t], labs[t]) for t in range(m)))
-
-
-def _binary_scan(problem: _Problem, m_max: int, on_hit) -> None:
-    n = problem.n_cols
-    syn = problem.entry_syn
-    for m in range(1, m_max + 1):
-        for combo in itertools.combinations(range(n), m):
-            s = 0
-            for j in combo:
-                s ^= syn[j]
-            if s == 0:
-                on_hit(tuple((j, None) for j in combo))
-
-
 def brute_force_census(
     code,
     m_max: int,
@@ -672,19 +544,19 @@ def brute_force_census(
 ) -> ClusterCensus:
     """Exhaustive ground-truth census.
 
-    Every configuration of up to m_max entries is scanned; undetectable
-    ones are classified, and recursion-path counts are recovered by
-    counting admissible orderings per configuration.  Configurations
-    with no admissible ordering (disconnected pieces the search can
-    never assemble) are excluded from the distinct count, matching the
-    recursive enumeration exactly.
+    Every configuration of up to m_max entries on distinct positions is
+    scanned; undetectable ones are classified, and recursion-path counts
+    are recovered by counting admissible orderings per configuration.
+    Configurations with no admissible ordering (disconnected pieces the
+    search can never assemble) are excluded from the distinct count,
+    matching the recursive enumeration exactly.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
     problem = _build_problem(code, sector)
-    n = problem.n_cols
-    per_combo = 3 if problem.mode == "pauli" else 1
-    work = sum(comb(n, m) * per_combo**m for m in range(1, m_max + 1))
+    width = problem.width
+    n = len(problem.syn) // width
+    work = sum(comb(n, m) * width**m for m in range(1, m_max + 1))
     if work > guard:
         raise ResourceCapError(
             f"brute-force scan needs {work} configurations, above the guard {guard}"
@@ -696,63 +568,28 @@ def brute_force_census(
     paths = [0] * (m_max + 1)
     kept: list[list[Cluster]] | None = [[] for _ in range(m_max + 1)] if keep_clusters else None
 
-    def on_hit(entries: tuple) -> None:
+    def on_hit(entries: tuple[int, ...]) -> None:
         m = len(entries)
-        syn_entry = [problem.syn_of(e) for e in entries]
+        syn_entry = [problem.syn[e] for e in entries]
         table = _subset_syndromes(syn_entry)
         orderings = _count_orderings(syn_entry, table)
-        full = (1 << m) - 1
-        reducible = any(table[s] == 0 for s in range(1, full))
-        if not reducible:
+        if not any(table[s] == 0 for s in range(1, len(table) - 1)):
             # every irreducible cluster must be constructible
             assert orderings > 0, "irreducible cluster missed by the ordering rule"
             irred[m] += 1
-            key = 0
-            if problem.mode == "binary":
-                for j, _ in entries:
-                    key |= 1 << j
-            else:
-                npk = problem.pack_n
-                for j, lab in entries:
-                    if lab in (0, 1):
-                        key |= 1 << j
-                    if lab in (1, 2):
-                        key |= 1 << (npk + j)
-            if not problem.in_degeneracy(key):
+            if not problem.in_degeneracy(entries):
                 nonstab[m] += 1
         if orderings:
             distinct[m] += 1
             paths[m] += orderings
             if kept is not None:
-                if problem.mode == "binary":
-                    kept[m].append(Cluster(tuple(j for j, _ in entries)))
-                else:
-                    kept[m].append(
-                        Cluster(
-                            tuple(j for j, _ in entries),
-                            tuple(_PAULI_LABELS[lab] for _, lab in entries),
-                        )
-                    )
+                kept[m].append(problem.cluster_of(entries))
 
-    if problem.mode == "pauli":
-        _pauli_scan_numpy(problem, m_max, on_hit)
-    else:
-        _binary_scan(problem, m_max, on_hit)
-
-    clusters = None
-    if kept is not None:
-        clusters = tuple(
-            tuple(sorted(cl, key=lambda c: (c.positions, c.paulis or ())))
-            for cl in kept
-        )
-    return ClusterCensus(
-        m_max=m_max,
-        distinct=tuple(distinct),
-        irreducible=tuple(irred),
-        irreducible_nonstabilizer=tuple(nonstab),
-        paths=tuple(paths),
-        clusters=clusters,
-    )
+    groups = [
+        [(problem.syn[e], e) for e in range(j * width, (j + 1) * width)] for j in range(n)
+    ]
+    zero_sum_choices(groups, m_max, on_hit)
+    return _census(distinct, irred, nonstab, paths, kept)
 
 
 # -- closed-form counting bounds -----------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CommutativityError, ValidationError
-from .gf2 import BitMatrix, BitVector, hstack, vstack
+from .gf2 import BitMatrix, BitVector, hstack, vstack, zero_sum_choices
 
 _LABEL_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR_LABEL = {lbl: vu for vu, lbl in _LABEL_FOR_BITS.items()}
@@ -383,25 +383,23 @@ def min_nontrivial_weight(
 ) -> int | None:
     """Smallest weight of a vector killed by checks but outside the row
     space of degeneracy, searching exhaustively up to max_weight."""
-    n = checks.cols
-    cols = [sum(((checks.rows[i] >> j) & 1) << i for i in range(checks.nrows)) for j in range(n)]
     pivots, rows = degeneracy._rref()
-    for w in range(1, max_weight + 1):
-        for combo in itertools.combinations(range(n), w):
-            s = 0
-            bits = 0
-            for j in combo:
-                s ^= cols[j]
-                bits |= 1 << j
-            if s:
-                continue
-            red = bits
-            for c, row in zip(pivots, rows):
-                if (red >> c) & 1:
-                    red ^= row
-            if red:
-                return w
-    return None
+    found: list[int] = []
+
+    def on_hit(combo: tuple[int, ...]) -> bool:
+        red = 0
+        for j in combo:
+            red |= 1 << j
+        for c, row in zip(pivots, rows):
+            if (red >> c) & 1:
+                red ^= row
+        if red:
+            found.append(len(combo))
+        return bool(red)
+
+    columns = [((col, j),) for j, col in enumerate(checks.transpose().rows)]
+    zero_sum_choices(columns, max_weight, on_hit)
+    return found[0] if found else None
 
 
 def css_distance_bruteforce(code: CssCode, max_weight: int) -> int | None:

@@ -8,10 +8,9 @@ are reported, since the counting ceilings constrain the base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .clusters import ClusterCensus
 from .errors import ValidationError
@@ -46,14 +45,18 @@ def fit_log_growth(
         raise ValidationError(
             f"need at least 3 nonzero counts in [{lo}, {hi}], got {len(points)}"
         )
-    x = np.array([m for m, _ in points], dtype=float)
-    ylog = np.log(np.array([c for _, c in points], dtype=float))
-    slope, intercept = np.polyfit(x, ylog, 1)
-    rss = float(np.sum((ylog - (intercept + slope * x)) ** 2))
+    x = [float(m) for m, _ in points]
+    ylog = [math.log(c) for _, c in points]
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(ylog) / len(ylog)
+    dx = [xi - x_mean for xi in x]
+    slope = math.fsum(d * (yi - y_mean) for d, yi in zip(dx, ylog)) / math.fsum(d * d for d in dx)
+    intercept = y_mean - slope * x_mean
+    rss = math.fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, ylog))
     return FitResult(
-        intercept=float(intercept),
-        slope=float(slope),
-        growth_base=float(np.exp(slope)),
+        intercept=intercept,
+        slope=slope,
+        growth_base=math.exp(slope),
         rss=rss,
         weights=tuple(m for m, _ in points),
     )

@@ -4,12 +4,15 @@ Vectors and matrices are immutable and backed by Python integers: bit j
 of a row word is column j.  XOR, popcount and hashing are cheap at any
 width, and equal values compare and hash equal, so they can be used as
 set/dict keys and shared freely across threads or processes.
+
+zero_sum_choices is the one exhaustive scan for zero-sum selections of
+columns; the brute-force cluster census and the distance search use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -309,3 +312,42 @@ def row_space_contains(m: BitMatrix, x: BitVector) -> bool:
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return a.kron(b)
+
+
+def zero_sum_choices(
+    groups: Sequence[Sequence[tuple[int, object]]],
+    max_size: int,
+    on_hit: Callable[[tuple], object],
+) -> bool:
+    """Report every choice of at most max_size groups, one (word, item)
+    pair from each, whose words XOR to zero.
+
+    Choices go by size, then by ascending group index; on_hit gets the
+    chosen items in group order.  The last pair of a choice is looked up
+    by the word that cancels the rest, not scanned for.  A truthy return
+    from on_hit stops the scan, and then this returns True.
+    """
+    closers: dict[int, list[tuple[int, object]]] = {}
+    for g, group in enumerate(groups):
+        for word, item in group:
+            closers.setdefault(word, []).append((g, item))
+    n = len(groups)
+
+    def extend(start: int, acc: int, chosen: tuple, left: int) -> bool:
+        # choose `left` more groups from start on, then close the choice
+        if left > 1:
+            for g in range(start, n - left):
+                for word, item in groups[g]:
+                    if extend(g + 1, acc ^ word, chosen + (item,), left - 1):
+                        return True
+            return False
+        for g in range(start, n - 1):
+            for word, item in groups[g]:
+                for h, last in closers.get(acc ^ word, ()):
+                    if h > g and on_hit(chosen + (item, last)):
+                        return True
+        return False
+
+    if max_size >= 1 and any(on_hit((item,)) for _, item in closers.get(0, ())):
+        return True
+    return any(extend(0, 0, (), size - 1) for size in range(2, max_size + 1))

@@ -9,22 +9,9 @@ output formats floats with 17 significant digits.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import __version__
 from .errors import ValidationError
 from .gf2 import BitMatrix
-
-
-def to_array(m: BitMatrix) -> np.ndarray:
-    return np.array(m.to_lists(), dtype=np.uint8).reshape(m.nrows, m.cols)
-
-
-def from_array(a) -> BitMatrix:
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValidationError("expected a 2-D array")
-    return BitMatrix.from_lists([[int(x) & 1 for x in row] for row in a])
 
 
 def _ints(line: str, lineno: int) -> list[int]:
@@ -183,19 +170,31 @@ def write_csv(path_or_none, header: list[str], rows: list[list], config: dict) -
 
 
 def read_census_csv(path: str) -> dict[str, dict[int, int]]:
-    """Parse a census CSV back into per-field count maps."""
+    """Parse a census CSV back into per-field count maps; every cell
+    must be an integer, read exactly."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [
+            (i, ln.strip()) for i, ln in enumerate(fh, start=1)
+            if ln.strip() and not ln.startswith("#")
+        ]
     if not lines:
         raise ValidationError("census CSV line 1: empty file")
-    header = lines[0].split(",")
+    lineno, head = lines[0]
+    header = head.split(",")
     if "m" not in header:
-        raise ValidationError("census CSV line 1: missing 'm' column")
+        raise ValidationError(f"census CSV line {lineno}: missing 'm' column")
     fields: dict[str, dict[int, int]] = {h: {} for h in header if h != "m"}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        row = dict(zip(header, cells))
-        m = int(row["m"])
+    for lineno, ln in lines[1:]:
+        try:
+            values = [int(cell) for cell in ln.split(",")]
+        except ValueError:
+            raise ValidationError(f"census CSV line {lineno}: expected integer cells, got {ln!r}")
+        if len(values) != len(header):
+            raise ValidationError(
+                f"census CSV line {lineno}: expected {len(header)} cells, got {len(values)}"
+            )
+        row = dict(zip(header, values))
+        m = row["m"]
         for h, table in fields.items():
-            table[m] = int(float(row[h]))
+            table[m] = row[h]
     return fields

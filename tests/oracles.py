@@ -1,6 +1,9 @@
-"""Configuration-enumeration oracles for the bad-error sums.
+"""Literal enumeration oracles.
 
-Each oracle walks every error configuration on a weight-m support,
+zero_sum_choices_literal scans every choice of groups and entries
+outright, for checking gf2.zero_sum_choices.
+
+Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
 inverted configuration exactly (rational arithmetic over the given
 float rates), and adds up the configurations whose inversion is at
@@ -71,3 +74,18 @@ def bad_sum_ft(m: int, m_q: int, p: float, q: float) -> float:
         if pinv >= pe:
             total += pe
     return float(total)
+
+
+def zero_sum_choices_literal(groups, max_size: int) -> list[tuple]:
+    """Item tuples of every choice of at most max_size groups, one
+    (word, item) pair from each, whose words XOR to zero."""
+    hits = []
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(range(len(groups)), size):
+            for pairs in itertools.product(*(groups[g] for g in combo)):
+                acc = 0
+                for word, _ in pairs:
+                    acc ^= word
+                if acc == 0:
+                    hits.append(tuple(item for _, item in pairs))
+    return hits

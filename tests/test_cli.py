@@ -134,6 +134,22 @@ class TestThreshold:
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(0.0, abs=1e-6)
 
+    def test_curve_accepts_underscore_spellings(self, tmp_path):
+        def curve_rows(spec):
+            out = tmp_path / "curve.csv"
+            assert run("threshold", "--model", "css", "--w", "4", "--curve", spec,
+                       "--points", "5", "-o", str(out)) == 0
+            return out.read_text().splitlines()[3:]
+
+        assert curve_rows("p_X:y") == curve_rows("pX:y")
+
+    def test_curve_rejects_unknown_rate(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run("threshold", "--model", "css", "--w", "4", "--curve", "y:bogus",
+                   "-o", str(out)) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_solve_spec(self, capsys):
         assert run("threshold", "--model", "css", "--w", "4") == 2
 

@@ -20,6 +20,7 @@ from clusterbounds import (
     is_irreducible,
     is_irreducible_bruteforce,
     new_css,
+    new_stabilizer,
 )
 from clusterbounds.gf2 import BitMatrix, BitVector
 
@@ -362,3 +363,43 @@ class TestRandomCodes:
         rows = census.row_dicts()
         assert rows[0]["m"] == 3
         assert {r["m"] for r in rows} == {3, 4, 5, 6}
+
+
+def five_qubit_code(y_qubit: bool):
+    """The [[5,1,3]] code from XZZXI and its cyclic shifts, optionally
+    with a sixth qubit stabilized by Y."""
+    base = "XZZXI"
+    labels = [base[-s:] + base[:-s] if s else base for s in range(5)]
+    if y_qubit:
+        labels = [lab + "I" for lab in labels] + ["IIIIIY"]
+    rows = tuple(PauliOp.from_label(lab).to_binary().bits for lab in labels)
+    return new_stabilizer(BitMatrix(rows, 2 * len(labels[0])))
+
+
+class TestNonCssCodes:
+    @pytest.mark.parametrize(
+        "y_qubit, distinct",
+        [(False, (0, 0, 0, 30, 15, 18)), (True, (0, 1, 0, 30, 15, 18))],
+    )
+    def test_census_matches_bruteforce(self, y_qubit, distinct):
+        code = five_qubit_code(y_qubit)
+        census = enumerate_clusters(code, 5, sector="full", keep_clusters=True)
+        oracle = brute_force_census(code, 5, sector="full", keep_clusters=True)
+        assert census.distinct == distinct
+        assert census.same_counts(oracle)
+        assert census.clusters == oracle.clusters
+        assert_sound_census(code, census, "full")
+
+    def test_irreducibility_and_decomposition(self):
+        code = five_qubit_code(True)
+        census = enumerate_clusters(code, 5, sector="full", keep_clusters=True)
+        assert census.clusters[1] == (Cluster((5,), ("Y",)),)
+        for group in census.clusters:
+            for cl in group:
+                irreducible = is_irreducible(code, cl)
+                assert irreducible == is_irreducible_bruteforce(code, cl)
+                parts = decompose(code, cl)
+                assert (len(parts) == 1) == irreducible
+                pairs = sorted(p for part in parts for p in zip(part.positions, part.paulis))
+                assert pairs == list(zip(cl.positions, cl.paulis))
+                assert all(is_irreducible(code, part) for part in parts)

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbounds import ValidationError
-from clusterbounds.gf2 import BitMatrix, BitVector, hstack, kron, vstack
+from clusterbounds.gf2 import BitMatrix, BitVector, hstack, kron, vstack, zero_sum_choices
+from oracles import zero_sum_choices_literal
 
 
 def random_bitmatrix(rng, rows, cols):
@@ -178,3 +181,34 @@ class TestMatmulStack:
             BitMatrix.identity(2) @ BitMatrix.identity(3)
         with pytest.raises(ValidationError):
             hstack(BitMatrix.identity(2), BitMatrix.identity(3))
+
+
+# a few short words over 3 bits, so that zero sums are common
+_groups = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=3), max_size=7).map(
+    lambda gs: [[(w, (g, k)) for k, w in enumerate(ws)] for g, ws in enumerate(gs)]
+)
+
+
+class TestZeroSumChoices:
+    @settings(max_examples=150, deadline=None)
+    @given(groups=_groups, max_size=st.integers(0, 4))
+    def test_matches_literal_scan(self, groups, max_size):
+        hits = []
+        assert not zero_sum_choices(groups, max_size, hits.append)
+        assert sorted(hits) == sorted(zero_sum_choices_literal(groups, max_size))
+        assert [len(h) for h in hits] == sorted(len(h) for h in hits)
+        for h in hits:
+            assert [g for g, _ in h] == sorted({g for g, _ in h})
+
+    @settings(max_examples=50, deadline=None)
+    @given(groups=_groups, max_size=st.integers(1, 4), stop_at=st.integers(1, 5))
+    def test_truthy_hit_stops_the_scan(self, groups, max_size, stop_at):
+        total = len(zero_sum_choices_literal(groups, max_size))
+        calls = []
+
+        def on_hit(items):
+            calls.append(items)
+            return len(calls) == stop_at
+
+        assert zero_sum_choices(groups, max_size, on_hit) == (total >= stop_at)
+        assert len(calls) == min(total, stop_at)

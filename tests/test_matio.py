@@ -7,12 +7,10 @@ from clusterbounds.gf2 import BitMatrix
 from clusterbounds.matio import (
     dump_json,
     format_float,
-    from_array,
     parse_alist,
     parse_dense,
     read_census_csv,
     read_matrix,
-    to_array,
     write_alist,
     write_csv,
     write_dense,
@@ -91,11 +89,6 @@ class TestReadMatrix:
             read_matrix("/nonexistent/matrix.alist")
 
 
-class TestArrays:
-    def test_array_round_trip(self, toric2):
-        assert from_array(to_array(toric2.G_X)) == toric2.G_X
-
-
 class TestTables:
     def test_float_formatting(self):
         assert format_float(1.0 / 3.0) == "0.33333333333333331"
@@ -129,3 +122,15 @@ class TestTables:
         fields = read_census_csv(str(path))
         assert fields["distinct"] == {3: 6, 4: 9}
         assert fields["paths"] == {3: 18, 4: 36}
+
+    def test_census_csv_reads_large_integers_exactly(self, tmp_path):
+        path = tmp_path / "census.csv"
+        big = 3 * 32 * 6**19 + 1
+        write_csv(str(path), ["m", "distinct", "bound"], [[20, 1, big]], {"command": "census"})
+        assert read_census_csv(str(path))["bound"] == {20: big}
+
+    def test_census_csv_rejects_non_integer_cell(self, tmp_path):
+        path = tmp_path / "census.csv"
+        write_csv(str(path), ["m", "distinct"], [[3, 6], [4, 2.5]], {"command": "census"})
+        with pytest.raises(ValidationError, match="line 5"):
+            read_census_csv(str(path))
