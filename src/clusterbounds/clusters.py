@@ -14,7 +14,11 @@ support, choosing a free entry that flips the violated bit.  Every state
 whose syndrome reaches zero is one recorded cluster; states that cannot
 repair the first violated bit, or that hit the depth cap, backtrack.
 Each completion event is one recursion path, so a cluster is counted
-once per ordering of its entries that the repair rule admits.
+once per ordering of its entries that the repair rule admits.  The last
+entry is not searched for: a state one entry short of the cap completes
+only through an entry whose syndrome word equals its own syndrome, so
+that syndrome is looked up in a syndrome -> entries table, the same
+closing step as gf2.zero_sum_choices.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -41,6 +45,7 @@ from .gf2 import BitMatrix, zero_sum_choices
 
 DEFAULT_CLUSTER_CAP = 10**7
 _PAULI_LABELS = "XYZ"
+_PAULI_LABEL_INDEX = {lab: i for i, lab in enumerate(_PAULI_LABELS)}
 _SECTOR_ALIASES = {
     "full": "full",
     "full-pauli": "full",
@@ -155,8 +160,11 @@ class _Problem:
     # of every entry that flips it
     branches: tuple
     seeds: tuple  # (syndrome word, key bit, exclusion mask) of every entry
-    degeneracy_pivots: tuple[int, ...]
-    degeneracy_rows: tuple[int, ...]
+    # syndrome word -> (key bit, exclusion mask) of every entry with
+    # exactly that word, in entry order
+    closers: dict
+    # pivot column -> row of the fully reduced degeneracy matrix
+    degeneracy_rows: dict
     bound_kind: str
     bound_n: int
     bound_r: int
@@ -169,29 +177,37 @@ class _Problem:
         return Cluster(positions, tuple(_PAULI_LABELS[e % 3] for e in entries))
 
     def entries_of_cluster(self, cluster: Cluster) -> tuple[int, ...]:
+        n = len(self.syn) // self.width
+        if not all(0 <= j < n for j in cluster.positions):
+            raise ValidationError(f"cluster positions must lie in 0..{n - 1}")
         if self.width == 1:
             if cluster.paulis is not None:
                 raise ValidationError("binary sector expects clusters without Pauli labels")
             return cluster.positions
         if cluster.paulis is None:
             raise ValidationError("full-Pauli sector expects labelled clusters")
-        return tuple(
-            3 * j + _PAULI_LABELS.index(ch.upper())
-            for j, ch in zip(cluster.positions, cluster.paulis)
-        )
+        labels = [_PAULI_LABEL_INDEX.get(str(ch).upper()) for ch in cluster.paulis]
+        if None in labels:
+            raise ValidationError(f"Pauli labels must be X, Y or Z, got {cluster.paulis}")
+        return tuple(3 * j + lab for j, lab in zip(cluster.positions, labels))
 
     def in_degeneracy(self, entries) -> bool:
+        """The reduced rows have no pivot bit but their own, so the word
+        is in the row space exactly when the rows of its set pivot bits
+        XOR to it."""
         word = 0
         for e in entries:
             word ^= self.deg[e]
-        for c, row in zip(self.degeneracy_pivots, self.degeneracy_rows):
-            if (word >> c) & 1:
-                word ^= row
-        return word == 0
+        rest = word
+        for c in _entries(word):
+            row = self.degeneracy_rows.get(c)
+            if row is not None:
+                rest ^= row
+        return rest == 0
 
 
 def _entries(key: int) -> list[int]:
-    """Entry indices of a cluster key's set bits, ascending."""
+    """Indices of the set bits of a word (a cluster key's entries), ascending."""
     out = []
     while key:
         low = key & -key
@@ -274,15 +290,19 @@ def _problem(
     def entry(e: int) -> tuple[int, int, int]:
         return syn[e], 1 << e, position << (e - e % width)
 
+    seeds = tuple(entry(e) for e in range(len(words)))
+    closers: dict[int, list[tuple[int, int]]] = {}
+    for ds, bit, excl in seeds:
+        closers.setdefault(ds, []).append((bit, excl))
     pivots, rows = degeneracy._rref()
     return _Problem(
         width=width,
         syn=tuple(syn),
         deg=tuple(words),
         branches=tuple(tuple(entry(e) for e in flips[c]) for c in order),
-        seeds=tuple(entry(e) for e in range(len(words))),
-        degeneracy_pivots=tuple(pivots),
-        degeneracy_rows=tuple(rows),
+        seeds=seeds,
+        closers=closers,
+        degeneracy_rows=dict(zip(pivots, rows)),
         **bound,
     )
 
@@ -290,11 +310,16 @@ def _problem(
 # -- recursive enumeration ---------------------------------------------
 
 
-def _run_seeds(branches, seeds, m_max: int, cap: int):
+def _run_seeds(branches, closers, seeds, m_max: int, cap: int):
     """Depth-first search from the given seeds; returns per-weight path
-    counts and the set of recorded cluster keys."""
+    counts and the set of recorded cluster keys.
+
+    A state one entry short of m_max completes only through an entry
+    whose syndrome word equals the state's syndrome, so it is closed by
+    looking that word up in closers instead of by a branch loop."""
     paths = [0] * (m_max + 1)
     found: set[int] = set()
+    last = m_max - 1
 
     def record(key: int, weight: int) -> None:
         paths[weight] += 1
@@ -308,7 +333,7 @@ def _run_seeds(branches, seeds, m_max: int, cap: int):
     def go(key: int, s: int, depth: int) -> None:
         i = (s & -s).bit_length() - 1
         nd = depth + 1
-        extend = nd < m_max
+        extend = nd < last
         for ds, bit, excl in branches[i]:
             if key & excl:
                 continue
@@ -317,18 +342,27 @@ def _run_seeds(branches, seeds, m_max: int, cap: int):
                 record(key | bit, nd)
             elif extend:
                 go(key | bit, ns, nd)
+            else:
+                child = key | bit
+                for b, x in closers.get(ns, ()):
+                    if not child & x:
+                        record(child | b, m_max)
 
     for ds, bit, _ in seeds:
         if ds == 0:
             record(bit, 1)
-        elif m_max >= 2:
+        elif m_max == 2:
+            for b, x in closers.get(ds, ()):
+                if not bit & x:
+                    record(bit | b, 2)
+        elif m_max > 2:
             go(bit, ds, 1)
     return paths, found
 
 
 def _worker_run(args):
-    branches, seeds, m_max, cap = args
-    paths, found = _run_seeds(branches, seeds, m_max, cap)
+    branches, closers, seeds, m_max, cap = args
+    paths, found = _run_seeds(branches, closers, seeds, m_max, cap)
     return paths, list(found)
 
 
@@ -400,13 +434,19 @@ def enumerate_clusters(
         raise ValidationError("m_max must be at least 1")
     problem = _build_problem(code, sector)
     if workers <= 1:
-        paths, found = _run_seeds(problem.branches, problem.seeds, m_max, max_stored)
+        paths, found = _run_seeds(
+            problem.branches, problem.closers, problem.seeds, m_max, max_stored
+        )
     else:
         chunks = [problem.seeds[i::workers] for i in range(workers)]
         paths = [0] * (m_max + 1)
         found = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [(problem.branches, chunk, m_max, max_stored) for chunk in chunks if chunk]
+            jobs = [
+                (problem.branches, problem.closers, chunk, m_max, max_stored)
+                for chunk in chunks
+                if chunk
+            ]
             for wpaths, wkeys in pool.map(_worker_run, jobs):
                 for m in range(m_max + 1):
                     paths[m] += wpaths[m]

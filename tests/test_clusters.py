@@ -2,6 +2,9 @@ import itertools
 import random
 
 import pytest
+from conftest import make_random_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbounds import (
     Cluster,
@@ -17,6 +20,7 @@ from clusterbounds import (
     decompose,
     enumerate_clusters,
     ft_extend,
+    hypergraph_product,
     is_irreducible,
     is_irreducible_bruteforce,
     new_css,
@@ -82,25 +86,31 @@ class TestEnumerate:
         assert census.irreducible[4] == 24
         assert census.irreducible_nonstabilizer[4] == 8
 
-    def test_toric2_x_matches_bruteforce(self, toric2):
-        census = enumerate_clusters(toric2, 4, sector="x", keep_clusters=True)
-        oracle = brute_force_census(toric2, 4, sector="x", keep_clusters=True)
+    # m_max 1 runs no search, 2 closes each seed by the syndrome lookup
+    # and 3 runs one repair level before the lookup
+    @pytest.mark.parametrize("m_max", range(1, 5))
+    def test_toric2_x_matches_bruteforce(self, toric2, m_max):
+        census = enumerate_clusters(toric2, m_max, sector="x", keep_clusters=True)
+        oracle = brute_force_census(toric2, m_max, sector="x", keep_clusters=True)
         assert census.same_counts(oracle)
         assert census.clusters == oracle.clusters
-        # four weight-2 loops wind the two directions of the L=2 torus
-        assert census.irreducible_nonstabilizer[2] == 4
+        if m_max >= 2:
+            # four weight-2 loops wind the two directions of the L=2 torus
+            assert census.irreducible_nonstabilizer[2] == 4
 
-    def test_full_pauli_matches_bruteforce(self, toric2):
-        census = enumerate_clusters(toric2, 5, sector="full", keep_clusters=True)
-        oracle = brute_force_census(toric2, 5, sector="full", keep_clusters=True)
+    @pytest.mark.parametrize("m_max", range(1, 6))
+    def test_full_pauli_matches_bruteforce(self, toric2, m_max):
+        census = enumerate_clusters(toric2, m_max, sector="full", keep_clusters=True)
+        oracle = brute_force_census(toric2, m_max, sector="full", keep_clusters=True)
         assert census.same_counts(oracle)
         assert census.clusters == oracle.clusters
         assert_sound_census(toric2, census, "full")
 
-    def test_space_time_sector_matches_bruteforce(self, toric2):
+    @pytest.mark.parametrize("m_max", range(1, 5))
+    def test_space_time_sector_matches_bruteforce(self, toric2, m_max):
         ft = ft_extend(toric2, 2, errors="x")
-        census = enumerate_clusters(ft, 4, sector="ft")
-        oracle = brute_force_census(ft, 4, sector="ft")
+        census = enumerate_clusters(ft, m_max, sector="ft")
+        oracle = brute_force_census(ft, m_max, sector="ft")
         assert census.same_counts(oracle)
 
     def test_soundness_binary(self, toric3):
@@ -239,6 +249,26 @@ class TestIrreducibility:
         assert is_irreducible(toric2, cl, sector="full")
 
 
+class TestMalformedClusters:
+    CHECKS = (is_irreducible, is_irreducible_bruteforce, decompose)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_label_outside_xyz(self, toric2, check):
+        with pytest.raises(ValidationError):
+            check(toric2, Cluster((0,), ("I",)), "full")
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_position_beyond_code(self, toric2, check):
+        with pytest.raises(ValidationError):
+            check(toric2, Cluster((toric2.n,)), "x")
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_negative_position(self, toric2, check):
+        # a negative index must not wrap round to the last column
+        with pytest.raises(ValidationError):
+            check(toric2, Cluster((-1,)), "x")
+
+
 class TestDecompose:
     def test_figure_eight_splits_into_plaquettes(self, toric3):
         a, b = vertex_sharing_plaquette_pair(toric3)
@@ -351,12 +381,38 @@ class TestSelfAvoidingCycleCorrespondence:
             assert census.irreducible[m] == cycles.get(m, 0)
 
 
+@st.composite
+def random_shapes(draw):
+    """(rows, cols, row weight) of a matrix of at most 2 x 3 whose rows
+    can cover every column."""
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(2, 3))
+    return rows, cols, draw(st.integers(-(-cols // rows), cols))
+
+
 class TestRandomCodes:
     def test_enumeration_matches_bruteforce(self, random_css_codes):
         for code in random_css_codes:
             census = enumerate_clusters(code, 4, sector="full")
             oracle = brute_force_census(code, 4, sector="full")
             assert census.same_counts(oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.tuples(random_shapes(), random_shapes()),
+        sector=st.sampled_from(["full", "x", "z", "ft-x", "ft-z"]),
+        m_max=st.integers(1, 4),
+    )
+    def test_hypergraph_product_census_matches_bruteforce(self, seed, shapes, sector, m_max):
+        rng = random.Random(seed)
+        code = hypergraph_product(*(make_random_matrix(rng, *shape) for shape in shapes))
+        if sector.startswith("ft-"):
+            code, sector = ft_extend(code, 2, errors=sector[3:]), "ft"
+        census = enumerate_clusters(code, m_max, sector=sector, keep_clusters=True)
+        oracle = brute_force_census(code, m_max, sector=sector, keep_clusters=True)
+        assert census.same_counts(oracle)
+        assert census.clusters == oracle.clusters
 
     def test_census_row_dicts_skip_empty_weights(self, toric3):
         census = enumerate_clusters(toric3, 6, sector="x")
