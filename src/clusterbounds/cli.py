@@ -317,7 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rounds", type=int, help="measurement rounds for ft-* sectors")
     c.add_argument("--m-max", type=int, required=True, dest="m_max")
     c.add_argument("--workers", type=int, default=_default_workers())
-    c.add_argument("--max-stored", type=int, default=10**7, dest="max_stored")
+    c.add_argument(
+        "--max-stored",
+        type=int,
+        default=10**7,
+        dest="max_stored",
+        help="cap on the census's distinct clusters; each worker process holds up to this many",
+    )
     c.add_argument("--oracle", action="store_true", help="cross-check against brute force")
     c.add_argument("-o", "--output", help="CSV output path (stdout if omitted)")
     c.set_defaults(func=_cmd_census)

@@ -15,10 +15,16 @@ whose syndrome reaches zero is one recorded cluster; states that cannot
 repair the first violated bit, or that hit the depth cap, backtrack.
 Each completion event is one recursion path, so a cluster is counted
 once per ordering of its entries that the repair rule admits.  The last
-entry is not searched for: a state one entry short of the cap completes
-only through an entry whose syndrome word equals its own syndrome, so
-that syndrome is looked up in a syndrome -> entries table, the same
-closing step as gf2.zero_sum_choices.
+two entries are not searched for.  A state two entries short of the cap
+with syndrome s completes through one entry with word s, or through two
+entries whose words XOR to s, the first flipping the lowest bit of s.
+Two entries sharing a check are looked up under s in a table of
+check-sharing pairs, which has at most the sum over checks of |entries
+flipping it|^2 rows, so it grows linearly with the code.  Any other
+first entry lies inside s and has the lowest bit of s as its own lowest
+bit, so it comes from that check's short list, and its partner is looked
+up under the rest of s in a syndrome -> entries table, the same closing
+step as gf2.zero_sum_choices.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -163,6 +169,13 @@ class _Problem:
     # syndrome word -> (key bit, exclusion mask) of every entry with
     # exactly that word, in entry order
     closers: dict
+    # syndrome word w -> (key bits, exclusion mask) of every ordered pair
+    # of entries on different positions that share a check, have syndrome
+    # words XORing to w, and whose first entry flips the lowest bit of w
+    pairs: dict
+    # per check in search order: (syndrome word, key bit, exclusion mask)
+    # of every entry whose lowest syndrome bit is that check
+    lowest: tuple
     # pivot column -> row of the fully reduced degeneracy matrix
     degeneracy_rows: dict
     bound_kind: str
@@ -216,7 +229,9 @@ def _entries(key: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=32)
+# every caller works on one code at a time, and a large code's problem
+# holds megabytes (toric L=12 full: about 3.4 MB), so only a few are kept
+@lru_cache(maxsize=4)
 def _build_problem(code, sector: str) -> _Problem:
     sector = normalize_sector(sector)
     if sector == "full":
@@ -279,29 +294,52 @@ def _problem(
     """Entry e is word words[e] and flips check i when words[e] meets
     check_rows[i] with odd parity.  Checks are served in ascending order
     of the number of positions they touch, ties by row index."""
-    flips = [[e for e, w in enumerate(words) if (w & row).bit_count() & 1] for row in check_rows]
+    # a word meets a row only at the row's set bits, so each row's parity
+    # is taken over the entries holding those bits
+    holders: dict[int, list[int]] = {}
+    for e, w in enumerate(words):
+        for b in _entries(w):
+            holders.setdefault(b, []).append(e)
+    flips = []
+    for row in check_rows:
+        odd: set[int] = set()
+        for b in _entries(row):
+            odd.symmetric_difference_update(holders.get(b, ()))
+        flips.append(sorted(odd))
     order = sorted(range(len(flips)), key=lambda i: (len({e // width for e in flips[i]}), i))
     syn = [0] * len(words)
     for i, c in enumerate(order):
         for e in flips[c]:
             syn[e] |= 1 << i
     position = (1 << width) - 1
-
-    def entry(e: int) -> tuple[int, int, int]:
-        return syn[e], 1 << e, position << (e - e % width)
-
-    seeds = tuple(entry(e) for e in range(len(words)))
+    seeds = tuple((syn[e], 1 << e, position << (e - e % width)) for e in range(len(words)))
     closers: dict[int, list[tuple[int, int]]] = {}
+    lowest: list[list[tuple[int, int, int]]] = [[] for _ in order]
     for ds, bit, excl in seeds:
         closers.setdefault(ds, []).append((bit, excl))
+        if ds:
+            lowest[(ds & -ds).bit_length() - 1].append((ds, bit, excl))
+    # a pair is listed once, under the lowest check both entries flip, so
+    # the table has at most the sum over checks of |entries flipping it|^2
+    # rows
+    branches = tuple(tuple(seeds[e] for e in flips[c]) for c in order)
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for i, flipping in enumerate(branches):
+        for d1, b1, x1 in flipping:
+            for d2, b2, x2 in flipping:
+                shared, w = d1 & d2, d1 ^ d2
+                if (shared & -shared) >> i == 1 and d1 & w & -w and not b1 & x2:
+                    pairs.setdefault(w, []).append((b1 | b2, x1 | x2))
     pivots, rows = degeneracy._rref()
     return _Problem(
         width=width,
         syn=tuple(syn),
         deg=tuple(words),
-        branches=tuple(tuple(entry(e) for e in flips[c]) for c in order),
+        branches=branches,
         seeds=seeds,
         closers=closers,
+        pairs=pairs,
+        lowest=tuple(tuple(low) for low in lowest),
         degeneracy_rows=dict(zip(pivots, rows)),
         **bound,
     )
@@ -310,16 +348,20 @@ def _problem(
 # -- recursive enumeration ---------------------------------------------
 
 
-def _run_seeds(branches, closers, seeds, m_max: int, cap: int):
+def _run_seeds(branches, closers, pairs, lowest, seeds, m_max: int, cap: int):
     """Depth-first search from the given seeds; returns per-weight path
     counts and the set of recorded cluster keys.
 
-    A state one entry short of m_max completes only through an entry
-    whose syndrome word equals the state's syndrome, so it is closed by
-    looking that word up in closers instead of by a branch loop."""
+    A state two entries short of m_max is closed without a branch loop.
+    Its completions add one entry e1 flipping the lowest bit of its
+    syndrome s, then, unless e1's word is s, one entry e2 with word
+    s ^ syn(e1).  When e1 and e2 share a check they are one row of pairs,
+    looked up under s.  Otherwise syn(e1) lies inside s, so its lowest bit
+    is s's: e1 is on that check's lowest list, and e2 is looked up in
+    closers under s ^ syn(e1)."""
     paths = [0] * (m_max + 1)
     found: set[int] = set()
-    last = m_max - 1
+    penult = m_max - 2
 
     def record(key: int, weight: int) -> None:
         paths[weight] += 1
@@ -330,10 +372,25 @@ def _run_seeds(branches, closers, seeds, m_max: int, cap: int):
                 )
             found.add(key)
 
+    def close(key: int, s: int) -> None:
+        for bits, excl in pairs.get(s, ()):
+            if not key & excl:
+                record(key | bits, m_max)
+        for d1, b1, x1 in lowest[(s & -s).bit_length() - 1]:
+            if d1 & ~s or key & x1:
+                continue
+            if d1 == s:
+                record(key | b1, m_max - 1)
+                continue
+            child = key | b1
+            for b2, x2 in closers.get(s ^ d1, ()):
+                if not child & x2:
+                    record(child | b2, m_max)
+
     def go(key: int, s: int, depth: int) -> None:
         i = (s & -s).bit_length() - 1
         nd = depth + 1
-        extend = nd < last
+        extend = nd < penult
         for ds, bit, excl in branches[i]:
             if key & excl:
                 continue
@@ -343,10 +400,7 @@ def _run_seeds(branches, closers, seeds, m_max: int, cap: int):
             elif extend:
                 go(key | bit, ns, nd)
             else:
-                child = key | bit
-                for b, x in closers.get(ns, ()):
-                    if not child & x:
-                        record(child | b, m_max)
+                close(key | bit, ns)
 
     for ds, bit, _ in seeds:
         if ds == 0:
@@ -355,14 +409,15 @@ def _run_seeds(branches, closers, seeds, m_max: int, cap: int):
             for b, x in closers.get(ds, ()):
                 if not bit & x:
                     record(bit | b, 2)
-        elif m_max > 2:
+        elif m_max == 3:
+            close(bit, ds)
+        elif m_max > 3:
             go(bit, ds, 1)
     return paths, found
 
 
 def _worker_run(args):
-    branches, closers, seeds, m_max, cap = args
-    paths, found = _run_seeds(branches, closers, seeds, m_max, cap)
+    paths, found = _run_seeds(*args)
     return paths, list(found)
 
 
@@ -429,21 +484,26 @@ def enumerate_clusters(
     original row index) so the counts are reproducible.  With
     workers > 1 the seed entries are split across processes; the merged
     census does not depend on the schedule.
+
+    max_stored caps the census's distinct clusters: the run raises
+    ResourceCapError exactly when there are more, whatever the worker
+    count.  Each worker process holds the distinct clusters found from
+    its own seeds, up to max_stored of them; the seed chunks share most
+    clusters, so a run on N workers may hold up to N times the cap.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
     problem = _build_problem(code, sector)
+    tables = (problem.branches, problem.closers, problem.pairs, problem.lowest)
     if workers <= 1:
-        paths, found = _run_seeds(
-            problem.branches, problem.closers, problem.seeds, m_max, max_stored
-        )
+        paths, found = _run_seeds(*tables, problem.seeds, m_max, max_stored)
     else:
         chunks = [problem.seeds[i::workers] for i in range(workers)]
         paths = [0] * (m_max + 1)
         found = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             jobs = [
-                (problem.branches, problem.closers, chunk, m_max, max_stored)
+                (*tables, chunk, m_max, max_stored)
                 for chunk in chunks
                 if chunk
             ]

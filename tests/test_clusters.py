@@ -25,7 +25,9 @@ from clusterbounds import (
     is_irreducible_bruteforce,
     new_css,
     new_stabilizer,
+    toric_code,
 )
+from clusterbounds.clusters import _build_problem
 from clusterbounds.gf2 import BitMatrix, BitVector
 
 
@@ -86,8 +88,9 @@ class TestEnumerate:
         assert census.irreducible[4] == 24
         assert census.irreducible_nonstabilizer[4] == 8
 
-    # m_max 1 runs no search, 2 closes each seed by the syndrome lookup
-    # and 3 runs one repair level before the lookup
+    # m_max 1 runs no search, 2 closes each seed by the syndrome lookup,
+    # 3 closes each seed by the two-entry close and 4 runs one repair
+    # level before it
     @pytest.mark.parametrize("m_max", range(1, 5))
     def test_toric2_x_matches_bruteforce(self, toric2, m_max):
         census = enumerate_clusters(toric2, m_max, sector="x", keep_clusters=True)
@@ -143,6 +146,29 @@ class TestEnumerate:
     def test_memory_cap_propagates_from_workers(self, toric3):
         with pytest.raises(ResourceCapError):
             enumerate_clusters(toric3, 6, sector="x", workers=2, max_stored=5)
+
+    def test_memory_cap_counts_distinct_clusters_whatever_the_workers(self, toric3):
+        total = sum(enumerate_clusters(toric3, 6, sector="x").distinct)
+        for workers in (1, 2):
+            census = enumerate_clusters(toric3, 6, sector="x", workers=workers, max_stored=total)
+            assert sum(census.distinct) == total
+            with pytest.raises(ResourceCapError):
+                enumerate_clusters(toric3, 6, sector="x", workers=workers, max_stored=total - 1)
+
+    def test_toric12_full_weight_four(self):
+        L = 12
+        code = toric_code(L)
+        problem = _build_problem(code, "full")
+        rows = sum(len(pairs) for pairs in problem.pairs.values())
+        # one row per ordered pair under the lowest check both flip
+        assert rows <= sum(len(flipping) ** 2 for flipping in problem.branches)
+        # a table of all ordered pairs would hold about (3n)^2 / 2 rows
+        assert rows * 50 < len(problem.syn) ** 2 // 2
+        census = enumerate_clusters(code, 4, sector="full")
+        # below the distance L only the weight-4 stabilizer generators close
+        assert census.distinct == census.irreducible == (0, 0, 0, 0, 2 * L * L)
+        assert census.irreducible_nonstabilizer == (0,) * 5
+        assert census.paths == (0, 0, 0, 0, 1152)
 
     def test_bruteforce_guard(self, toric3):
         with pytest.raises(ResourceCapError):
@@ -402,7 +428,7 @@ class TestRandomCodes:
         seed=st.integers(0, 2**32 - 1),
         shapes=st.tuples(random_shapes(), random_shapes()),
         sector=st.sampled_from(["full", "x", "z", "ft-x", "ft-z"]),
-        m_max=st.integers(1, 4),
+        m_max=st.integers(1, 5),
     )
     def test_hypergraph_product_census_matches_bruteforce(self, seed, shapes, sector, m_max):
         rng = random.Random(seed)
