@@ -4,7 +4,7 @@ Everything downstream (codes, censuses, space-time constructions) sits
 on these values, so this demo exercises the operations directly.
 """
 
-from clusterbounds import BitMatrix, BitVector, kron
+from clusterbounds import BitMatrix, BitVector
 
 # vectors are immutable bit strings with cheap XOR and popcount
 a = BitVector.from01("101100")
@@ -39,4 +39,4 @@ print()
 i2 = BitMatrix.identity(2)
 h = BitMatrix.from_lists([[1, 1, 0], [0, 1, 1]])
 print("I2 (x) H:")
-print(kron(i2, h))
+print(i2.kron(h))

@@ -20,10 +20,6 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     hstack,
-    kernel_dimension,
-    kron,
-    rank,
-    row_space_contains,
     vstack,
 )
 from .codes import (
@@ -119,14 +115,10 @@ __all__ = [
     "hypergraph_product",
     "is_irreducible",
     "is_irreducible_bruteforce",
-    "kernel_dimension",
-    "kron",
     "min_nontrivial_weight",
     "new_css",
     "new_stabilizer",
-    "rank",
     "repetition_transpose",
-    "row_space_contains",
     "solve_threshold",
     "symplectic_product",
     "toric_code",

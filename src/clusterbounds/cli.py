@@ -322,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10**7,
         dest="max_stored",
-        help="cap on the census's distinct clusters; each worker process holds up to this many",
+        help=(
+            "cap on the census's distinct clusters; the search also holds up to "
+            "min(2048, this) partial clusters, and each worker process, which "
+            "searches its share of those, holds up to this many clusters"
+        ),
     )
     c.add_argument("--oracle", action="store_true", help="cross-check against brute force")
     c.add_argument("-o", "--output", help="CSV output path (stdout if omitted)")

@@ -26,6 +26,15 @@ bit, so it comes from that check's short list, and its partner is looked
 up under the rest of s in a syndrome -> entries table, the same closing
 step as gf2.zero_sum_choices.
 
+A state's whole subtree depends only on its key, and most partial
+clusters are reached by several orderings, mostly from different seeds.
+So the first levels are grown breadth-first into a frontier that maps
+each distinct partial cluster to its path multiplicity, the number of
+search paths reaching it, and the depth-first search runs once from each
+frontier key, counting every completion below it that many times.  A
+fixed budget and the memory cap bound the frontier's size, and worker
+processes split it.
+
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
 disjoint supports) and as a member of the degeneracy group or not; the
@@ -43,6 +52,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
@@ -50,6 +60,10 @@ from .errors import ResourceCapError, ValidationError
 from .gf2 import BitMatrix, zero_sum_choices
 
 DEFAULT_CLUSTER_CAP = 10**7
+# partial clusters held between the breadth-first and the depth-first
+# search; every fork worker inherits them, and larger frontiers save
+# little search time for their memory
+_FRONTIER_BUDGET = 2048
 _PAULI_LABELS = "XYZ"
 _PAULI_LABEL_INDEX = {lab: i for i, lab in enumerate(_PAULI_LABELS)}
 _SECTOR_ALIASES = {
@@ -165,7 +179,6 @@ class _Problem:
     # per check in search order: (syndrome word, key bit, exclusion mask)
     # of every entry that flips it
     branches: tuple
-    seeds: tuple  # (syndrome word, key bit, exclusion mask) of every entry
     # syndrome word -> (key bit, exclusion mask) of every entry with
     # exactly that word, in entry order
     closers: dict
@@ -227,6 +240,14 @@ def _entries(key: int) -> list[int]:
         out.append(low.bit_length() - 1)
         key ^= low
     return out
+
+
+def _syndrome(key: int, syn) -> int:
+    """Syndrome word of a cluster key: the XOR of its entries' words."""
+    s = 0
+    for e in _entries(key):
+        s ^= syn[e]
+    return s
 
 
 # every caller works on one code at a time, and a large code's problem
@@ -336,7 +357,6 @@ def _problem(
         syn=tuple(syn),
         deg=tuple(words),
         branches=branches,
-        seeds=seeds,
         closers=closers,
         pairs=pairs,
         lowest=tuple(tuple(low) for low in lowest),
@@ -348,9 +368,49 @@ def _problem(
 # -- recursive enumeration ---------------------------------------------
 
 
-def _run_seeds(branches, closers, pairs, lowest, seeds, m_max: int, cap: int):
-    """Depth-first search from the given seeds; returns per-weight path
-    counts and the set of recorded cluster keys.
+def _frontier(branches, syn, m_max: int, limit: int) -> dict[int, int]:
+    """Grow the search breadth-first from the single entries; returns a
+    map from each partial cluster's key to its multiplicity, the number
+    of search paths that reach it.
+
+    A state's subtree depends only on its key: the syndrome, the depth,
+    the next check and the exclusions all follow from it.  So every
+    ordering that reaches a key is searched once, from that key, with
+    its multiplicity.  Only states of depth m_max - 3 or less are
+    expanded (deeper ones are closed by table lookups), and only while
+    the frontier holds at most limit keys, so it never holds more than
+    limit keys plus one state's children (the first layer is the
+    children of the empty cluster).  The unexpanded rest of a partly
+    grown layer stays at its depth.  Completed keys (zero syndrome) stay
+    in the frontier and are recorded from it."""
+    layer = {1 << e: 1 for e in range(len(syn))}
+    for _ in range(m_max - 3):
+        grown: dict[int, int] = {}
+        while layer:
+            if len(layer) + len(grown) > limit:
+                grown.update(layer)
+                return grown
+            key, mult = layer.popitem()
+            s = _syndrome(key, syn)
+            if s == 0:
+                grown[key] = mult
+                continue
+            for ds, bit, excl in branches[(s & -s).bit_length() - 1]:
+                if not key & excl:
+                    child = key | bit
+                    grown[child] = grown.get(child, 0) + mult
+        layer = grown
+    return layer
+
+
+def _run_seeds(branches, closers, pairs, lowest, syn, starts, m_max: int, cap: int):
+    """Depth-first search from (key, multiplicity) starts; returns
+    per-weight path counts and the set of recorded cluster keys.
+
+    Every completion below a start is recorded with the start's
+    multiplicity, so paths counts the search paths through all orderings
+    that reach the start's key.  A start at depth m_max - 1 (a seed when
+    m_max == 2) closes through one closers lookup of its syndrome.
 
     A state two entries short of m_max is closed without a branch loop.
     Its completions add one entry e1 flipping the lowest bit of its
@@ -362,9 +422,10 @@ def _run_seeds(branches, closers, pairs, lowest, seeds, m_max: int, cap: int):
     paths = [0] * (m_max + 1)
     found: set[int] = set()
     penult = m_max - 2
+    mult = 1
 
     def record(key: int, weight: int) -> None:
-        paths[weight] += 1
+        paths[weight] += mult
         if key not in found:
             if len(found) >= cap:
                 raise ResourceCapError(
@@ -402,17 +463,19 @@ def _run_seeds(branches, closers, pairs, lowest, seeds, m_max: int, cap: int):
             else:
                 close(key | bit, ns)
 
-    for ds, bit, _ in seeds:
-        if ds == 0:
-            record(bit, 1)
-        elif m_max == 2:
-            for b, x in closers.get(ds, ()):
-                if not bit & x:
-                    record(bit | b, 2)
-        elif m_max == 3:
-            close(bit, ds)
-        elif m_max > 3:
-            go(bit, ds, 1)
+    for key, mult in starts:
+        s = _syndrome(key, syn)
+        depth = key.bit_count()
+        if s == 0:
+            record(key, depth)
+        elif depth < penult:
+            go(key, s, depth)
+        elif depth == penult:
+            close(key, s)
+        elif depth < m_max:
+            for b, x in closers.get(s, ()):
+                if not key & x:
+                    record(key | b, m_max)
     return paths, found
 
 
@@ -481,33 +544,45 @@ def enumerate_clusters(
     """Run the recursive search up to weight m_max and build a census.
 
     Checks are served in a fixed order (ascending weight, ties by
-    original row index) so the counts are reproducible.  With
-    workers > 1 the seed entries are split across processes; the merged
-    census does not depend on the schedule.
+    original row index) so the counts are reproducible.  The first
+    search levels are grown breadth-first into a frontier of distinct
+    partial clusters, each searched once; with workers > 1 the frontier
+    is split across processes, and the merged census does not depend on
+    the schedule.
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
-    count.  Each worker process holds the distinct clusters found from
-    its own seeds, up to max_stored of them; the seed chunks share most
-    clusters, so a run on N workers may hold up to N times the cap.
+    count.  The search also holds up to min(2048, max_stored) partial
+    clusters in its frontier (2048 is _FRONTIER_BUDGET).  Workers split
+    that frontier, not the seeds; each holds the distinct clusters found
+    from its share, up to max_stored of them, and the shares overlap in
+    the clusters they find, so a run on N workers may hold up to N times
+    the cap.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
     problem = _build_problem(code, sector)
-    tables = (problem.branches, problem.closers, problem.pairs, problem.lowest)
+    tables = (problem.branches, problem.closers, problem.pairs, problem.lowest, problem.syn)
+    limit = min(_FRONTIER_BUDGET, max_stored)
+    starts = _frontier(problem.branches, problem.syn, m_max, limit).items()
     if workers <= 1:
-        paths, found = _run_seeds(*tables, problem.seeds, m_max, max_stored)
+        paths, found = _run_seeds(*tables, starts, m_max, max_stored)
     else:
-        chunks = [problem.seeds[i::workers] for i in range(workers)]
         paths = [0] * (m_max + 1)
         found = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                (*tables, chunk, m_max, max_stored)
-                for chunk in chunks
-                if chunk
-            ]
-            for wpaths, wkeys in pool.map(_worker_run, jobs):
+            results = pool.map(
+                _worker_run,
+                [
+                    (*tables, list(islice(starts, i, None, workers)), m_max, max_stored)
+                    for i in range(min(workers, len(starts)))
+                ],
+            )
+            # the jobs hold the frontier's items, each freed once its worker
+            # is done; dropping the map keeps it out of the merge below,
+            # where the parent's memory peaks
+            del starts
+            for wpaths, wkeys in results:
                 for m in range(m_max + 1):
                     paths[m] += wpaths[m]
                 found.update(wkeys)

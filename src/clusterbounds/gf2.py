@@ -298,22 +298,6 @@ def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows + b.rows, a.cols)
 
 
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def kernel_dimension(m: BitMatrix) -> int:
-    return m.kernel_dimension()
-
-
-def row_space_contains(m: BitMatrix, x: BitVector) -> bool:
-    return m.row_space_contains(x)
-
-
-def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    return a.kron(b)
-
-
 def zero_sum_choices(
     groups: Sequence[Sequence[tuple[int, object]]],
     max_size: int,

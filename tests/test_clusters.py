@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest.mock import patch
 
 import pytest
 from conftest import make_random_matrix
@@ -27,7 +28,8 @@ from clusterbounds import (
     new_stabilizer,
     toric_code,
 )
-from clusterbounds.clusters import _build_problem
+import clusterbounds.clusters as clusters_module
+from clusterbounds.clusters import _build_problem, _frontier
 from clusterbounds.gf2 import BitMatrix, BitVector
 
 
@@ -187,6 +189,58 @@ class TestParallel:
         eight = enumerate_clusters(toric3, 6, sector="x", workers=8, keep_clusters=True)
         assert one.same_counts(two) and one.same_counts(eight)
         assert one.clusters == two.clusters == eight.clusters
+
+
+# codes whose census must not depend on how far the frontier is grown
+BUDGET_SWEEP = {
+    "toric4-full-m7": (lambda: toric_code(4), "full", 7),
+    "ft-toric3-z-3rounds-m7": (lambda: ft_extend(toric_code(3), 3, errors="z"), "ft", 7),
+    "toric6-x-m10": (lambda: toric_code(6), "x", 10),
+}
+
+
+class TestFrontier:
+    @pytest.mark.parametrize("case", BUDGET_SWEEP)
+    def test_census_does_not_depend_on_the_frontier_budget(self, case, monkeypatch):
+        make, sector, m_max = BUDGET_SWEEP[case]
+        code = make()
+        # budget 0 keeps the seeds as the frontier: one search per seed
+        monkeypatch.setattr(clusters_module, "_FRONTIER_BUDGET", 0)
+        reference = enumerate_clusters(code, m_max, sector=sector, keep_clusters=True)
+        for budget, workers in itertools.product((0, 1, 7, 100, 10**6), (1, 2)):
+            if (budget, workers) == (0, 1):
+                continue
+            monkeypatch.setattr(clusters_module, "_FRONTIER_BUDGET", budget)
+            census = enumerate_clusters(
+                code, m_max, sector=sector, workers=workers, keep_clusters=True
+            )
+            assert census.same_counts(reference), (budget, workers)
+            assert census.clusters == reference.clusters, (budget, workers)
+
+    def test_frontier_holds_its_limit_plus_one_states_children(self, toric4):
+        problem = _build_problem(toric4, "full")
+        children = max(len(problem.syn), *(len(b) for b in problem.branches))
+        for limit in (0, 1, 7, 50, 100, 500, 2048):
+            frontier = _frontier(problem.branches, problem.syn, 8, limit)
+            assert len(frontier) <= limit + children
+
+    def test_max_stored_caps_the_frontier(self, toric4, monkeypatch):
+        problem = _build_problem(toric4, "full")
+        children = max(len(problem.syn), *(len(b) for b in problem.branches))
+        sizes = []
+
+        def spy(*args):
+            frontier = _frontier(*args)
+            sizes.append(len(frontier))
+            return frontier
+
+        monkeypatch.setattr(clusters_module, "_frontier", spy)
+        monkeypatch.setattr(clusters_module, "_FRONTIER_BUDGET", 10**6)
+        for max_stored in (50, 300):
+            with pytest.raises(ResourceCapError):
+                enumerate_clusters(toric4, 8, sector="full", max_stored=max_stored)
+        assert sizes[0] <= 50 + children
+        assert len(problem.syn) < sizes[1] <= 300 + children
 
 
 class TestInvariance:
@@ -406,6 +460,17 @@ class TestSelfAvoidingCycleCorrespondence:
         for m in census.weights():
             assert census.irreducible[m] == cycles.get(m, 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_toric11_irreducible_clusters_are_lattice_polygons(self, workers):
+        # below the lattice size no cycle wraps the torus, so each
+        # irreducible cluster is a square-lattice polygon placed at one of
+        # L^2 sites; polygons by half-perimeter are 1, 2, 7, 28 (OEIS A002931)
+        L = 11
+        census = enumerate_clusters(toric_code(L), 10, sector="x", workers=workers)
+        polygons = {4: 1, 6: 2, 8: 7, 10: 28}
+        assert census.irreducible == tuple(L * L * polygons.get(m, 0) for m in range(11))
+        assert census.irreducible_nonstabilizer == (0,) * 11
+
 
 @st.composite
 def random_shapes(draw):
@@ -429,13 +494,18 @@ class TestRandomCodes:
         shapes=st.tuples(random_shapes(), random_shapes()),
         sector=st.sampled_from(["full", "x", "z", "ft-x", "ft-z"]),
         m_max=st.integers(1, 5),
+        budget=st.integers(0, 16),
     )
-    def test_hypergraph_product_census_matches_bruteforce(self, seed, shapes, sector, m_max):
+    def test_hypergraph_product_census_matches_bruteforce(
+        self, seed, shapes, sector, m_max, budget
+    ):
         rng = random.Random(seed)
         code = hypergraph_product(*(make_random_matrix(rng, *shape) for shape in shapes))
         if sector.startswith("ft-"):
             code, sector = ft_extend(code, 2, errors=sector[3:]), "ft"
-        census = enumerate_clusters(code, m_max, sector=sector, keep_clusters=True)
+        # small budgets leave partly grown, mixed-depth frontiers
+        with patch.object(clusters_module, "_FRONTIER_BUDGET", budget):
+            census = enumerate_clusters(code, m_max, sector=sector, keep_clusters=True)
         oracle = brute_force_census(code, m_max, sector=sector, keep_clusters=True)
         assert census.same_counts(oracle)
         assert census.clusters == oracle.clusters

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbounds import ValidationError
-from clusterbounds.gf2 import BitMatrix, BitVector, hstack, kron, vstack, zero_sum_choices
+from clusterbounds.gf2 import BitMatrix, BitVector, hstack, vstack, zero_sum_choices
 from oracles import zero_sum_choices_literal
 
 
@@ -130,18 +130,18 @@ class TestRowSpace:
 
 class TestKron:
     def test_identity_times_identity(self):
-        assert kron(BitMatrix.identity(2), BitMatrix.identity(3)) == BitMatrix.identity(6)
+        assert BitMatrix.identity(2).kron(BitMatrix.identity(3)) == BitMatrix.identity(6)
 
     def test_scalar_identity(self):
         rng = random.Random(4)
         a = random_bitmatrix(rng, 3, 5)
         one = BitMatrix.identity(1)
-        assert kron(a, one) == a
-        assert kron(one, a) == a
+        assert a.kron(one) == a
+        assert one.kron(a) == a
 
     def test_block_diagonal_copies(self, toric2):
         h = toric2.G_Z
-        out = kron(BitMatrix.identity(3), h)
+        out = BitMatrix.identity(3).kron(h)
         assert out.shape == (12, 24)
         expected = BitMatrix(
             tuple(row << (8 * block) for block in range(3) for row in h.rows), 24
@@ -153,8 +153,8 @@ class TestKron:
         a = random_bitmatrix(rng, 2, 3)
         b = random_bitmatrix(rng, 3, 2)
         c = random_bitmatrix(rng, 1, 4)
-        assert kron(kron(a, b), c).shape == kron(a, kron(b, c)).shape
-        assert kron(kron(a, b), c) == kron(a, kron(b, c))
+        assert a.kron(b).kron(c).shape == a.kron(b.kron(c)).shape
+        assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
 
 class TestMatmulStack:
