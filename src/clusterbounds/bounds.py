@@ -199,28 +199,15 @@ def erasure_tail_bound(n: int, w: int, d: int, y: float) -> float:
 # a log-ratio and disagree with a literal probability comparison.
 
 
-def _single_region_bad(k: int, rate: float, scale: int = 1) -> bool:
-    """Whether (scale*(1-rate)/rate)**k >= 1, reading the ratio as its
-    limit at rate 0 or 1.  Ties count as bad."""
-    if k == 0:
-        return True
-    if rate == 0.0:
-        return k > 0
-    if rate == 1.0:
-        return k < 0
-    fr = Fraction(rate)
-    ratio = scale * (1 - fr) / fr
-    if ratio == 1:
-        return True
-    return (k > 0) == (ratio > 1)
-
-
-def _pair_region_bad(kp: int, p: float, kq: int, q: float) -> bool:
-    """Whether ((1-p)/p)**kp * ((1-q)/q)**kq >= 1 with the same limit
-    conventions; callers must drop zero-probability terms first."""
+def _region_bad(*terms: tuple[int, float, int]) -> bool:
+    """Whether the product over (k, rate, scale) terms of
+    (scale*(1-rate)/rate)**k is at least 1, reading each ratio as its
+    limit at rate 0 or 1; ties count as bad.  The exponents of those
+    limits decide before the finite ratios do, so callers must drop
+    zero-probability configurations first."""
     score = 0
     acc = Fraction(1)
-    for k, rate in ((kp, p), (kq, q)):
+    for k, rate, scale in terms:
         if k == 0:
             continue
         if rate == 0.0:
@@ -229,7 +216,7 @@ def _pair_region_bad(kp: int, p: float, kq: int, q: float) -> bool:
             score -= k
         else:
             fr = Fraction(rate)
-            acc *= ((1 - fr) / fr) ** k
+            acc *= (scale * (1 - fr) / fr) ** k
     if score:
         return score > 0
     return acc >= 1
@@ -247,7 +234,7 @@ def exact_bad_probability_css(m: int, y: float, p: float) -> float:
         raise ValidationError("m must be at least 1")
     _check_unit("y", y)
     _check_unit("p", p)
-    bad = {k: _single_region_bad(k, p) for k in range(-m, m + 1)}
+    bad = {k: _region_bad((k, p, 1)) for k in range(-m, m + 1)}
     terms = []
     for a in range(m + 1):
         pa = comb(m, a) * y**a * (1.0 - y) ** (m - a)
@@ -269,7 +256,7 @@ def exact_bad_probability_depol(m: int, y: float, p: float) -> float:
         raise ValidationError("m must be at least 1")
     _check_unit("y", y)
     _check_unit("p", p)
-    bad = {k: _single_region_bad(k, p, scale=3) for k in range(-m, m + 1)}
+    bad = {k: _region_bad((k, p, 3)) for k in range(-m, m + 1)}
     terms = []
     for a in range(m + 1):
         pa = comb(m, a) * y**a * (1.0 - y) ** (m - a)
@@ -311,7 +298,7 @@ def exact_bad_probability_ft(m: int, m_q: int, p: float, q: float) -> float:
             t = pb * comb(m - m_q, f) * q**f * (1.0 - q) ** (m - m_q - f)
             if t == 0.0:
                 continue
-            if _pair_region_bad(2 * b - m_q, p, 2 * f + m_q - m, q):
+            if _region_bad((2 * b - m_q, p, 1), (2 * f + m_q - m, q, 1)):
                 terms.append(t)
     return fsum(terms)
 

@@ -37,27 +37,32 @@ processes split it.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
-disjoint supports) and as a member of the degeneracy group or not; the
-degeneracy test XORs one word per entry, (v|u) for a Pauli label and
-the column bit for a binary entry.  The brute-force census reproduces
-all four per-weight counts independently: the zero-sum scanner
-gf2.zero_sum_choices, which also serves the distance search, visits
-every choice of up to m_max positions with one entry each and keeps the
-undetectable ones, and admissible orderings are counted by dynamic
-programming over subsets instead of by recursion.
+disjoint supports) and as a member of the degeneracy group or not.  Both
+tests go through gf2.echelon: a weight-m cluster is irreducible when its
+entries' syndrome words have rank m - 1, and it is degenerate when the
+XOR of one word per entry, (v|u) for a Pauli label and the column bit
+for a binary entry, has zero residue by the degeneracy group's echelon.
+decompose splits a cluster along gf2.kernel vectors.
+
+The brute-force census reproduces all four per-weight counts
+independently: the zero-sum scanner gf2.zero_sum_choices, which also
+serves the distance search, visits every choice of up to m_max
+positions with one entry each and keeps the undetectable ones, and
+admissible orderings are counted by dynamic programming over subsets
+instead of by recursion.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import comb
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
 from .errors import ResourceCapError, ValidationError
-from .gf2 import BitMatrix, zero_sum_choices
+from .gf2 import BitMatrix, echelon, kernel, residue, zero_sum_choices
 
 DEFAULT_CLUSTER_CAP = 10**7
 # partial clusters held between the breadth-first and the depth-first
@@ -175,7 +180,9 @@ class ClusterCensus:
 class _Problem:
     width: int  # entries per position: 3 (labels X, Y, Z) in the full-Pauli sector, else 1
     syn: tuple[int, ...]  # per entry: syndrome word over the checks in search order
-    deg: tuple[int, ...]  # per entry: word reduced against the degeneracy rows
+    # per entry: its word in the degeneracy group's space, (v|u) for a
+    # Pauli label and the column bit for a binary entry
+    deg: tuple[int, ...]
     # per check in search order: (syndrome word, key bit, exclusion mask)
     # of every entry that flips it
     branches: tuple
@@ -189,12 +196,10 @@ class _Problem:
     # per check in search order: (syndrome word, key bit, exclusion mask)
     # of every entry whose lowest syndrome bit is that check
     lowest: tuple
-    # pivot column -> row of the fully reduced degeneracy matrix
-    degeneracy_rows: dict
-    bound_kind: str
-    bound_n: int
-    bound_r: int
-    bound_w: int
+    # echelon basis of the degeneracy group's rows
+    degeneracy: dict
+    # m -> closed-form ceiling on the weight-m recursion paths
+    bound: partial
 
     def cluster_of(self, entries) -> Cluster:
         positions = tuple(e // self.width for e in entries)
@@ -218,18 +223,10 @@ class _Problem:
         return tuple(3 * j + lab for j, lab in zip(cluster.positions, labels))
 
     def in_degeneracy(self, entries) -> bool:
-        """The reduced rows have no pivot bit but their own, so the word
-        is in the row space exactly when the rows of its set pivot bits
-        XOR to it."""
         word = 0
         for e in entries:
             word ^= self.deg[e]
-        rest = word
-        for c in _entries(word):
-            row = self.degeneracy_rows.get(c)
-            if row is not None:
-                rest ^= row
-        return rest == 0
+        return not residue(self.degeneracy, word)
 
 
 def _entries(key: int) -> list[int]:
@@ -270,16 +267,7 @@ def _build_problem(code, sector: str) -> _Problem:
         ]
         # a check-matrix row meets a (v|u) word with odd parity exactly
         # when the generator and the entry anticommute
-        return _problem(
-            stab.H.rows,
-            words,
-            3,
-            stab.G,
-            bound_kind="full",
-            bound_n=n,
-            bound_r=stab.r,
-            bound_w=stab.w,
-        )
+        return _problem(stab.H.rows, words, 3, stab.G, partial(cluster_count_bound, n, stab.w))
     if sector in ("x", "z"):
         if not isinstance(code, CssCode):
             raise ValidationError("single-sector enumeration needs a CSS code")
@@ -289,10 +277,7 @@ def _build_problem(code, sector: str) -> _Problem:
             [1 << j for j in range(checks.cols)],
             1,
             degeneracy,
-            bound_kind="css",
-            bound_n=code.n,
-            bound_r=checks.nrows,
-            bound_w=checks.max_row_weight(),
+            partial(cluster_count_bound_css, code.n, checks.max_row_weight()),
         )
     if not isinstance(code, FtCode):
         raise ValidationError("space-time enumeration needs an FtCode")
@@ -302,15 +287,17 @@ def _build_problem(code, sector: str) -> _Problem:
         [1 << j for j in range(code.P.cols)],
         1,
         code.Q,
-        bound_kind="ft",
-        bound_n=code.n,
-        bound_r=code.r,
-        bound_w=max((row & qubit_mask).bit_count() for row in code.P.rows),
+        partial(
+            cluster_count_bound_ft_total,
+            code.n,
+            code.r,
+            max((row & qubit_mask).bit_count() for row in code.P.rows),
+        ),
     )
 
 
 def _problem(
-    check_rows, words: list[int], width: int, degeneracy: BitMatrix, **bound
+    check_rows, words: list[int], width: int, degeneracy: BitMatrix, bound: partial
 ) -> _Problem:
     """Entry e is word words[e] and flips check i when words[e] meets
     check_rows[i] with odd parity.  Checks are served in ascending order
@@ -351,7 +338,6 @@ def _problem(
                 shared, w = d1 & d2, d1 ^ d2
                 if (shared & -shared) >> i == 1 and d1 & w & -w and not b1 & x2:
                     pairs.setdefault(w, []).append((b1 | b2, x1 | x2))
-    pivots, rows = degeneracy._rref()
     return _Problem(
         width=width,
         syn=tuple(syn),
@@ -360,8 +346,8 @@ def _problem(
         closers=closers,
         pairs=pairs,
         lowest=tuple(tuple(low) for low in lowest),
-        degeneracy_rows=dict(zip(pivots, rows)),
-        **bound,
+        degeneracy=echelon(degeneracy.rows),
+        bound=bound,
     )
 
 
@@ -484,19 +470,6 @@ def _worker_run(args):
     return paths, list(found)
 
 
-def _rank_of_words(words) -> int:
-    basis: dict[int, int] = {}
-    for w in words:
-        while w:
-            h = w.bit_length() - 1
-            if h in basis:
-                w ^= basis[h]
-            else:
-                basis[h] = w
-                break
-    return len(basis)
-
-
 def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
     clusters = None
     if kept is not None:
@@ -524,7 +497,7 @@ def _classify(problem: _Problem, keys, paths: list[int], keep: bool) -> ClusterC
         entries = _entries(key)
         m = len(entries)
         distinct[m] += 1
-        if m - _rank_of_words([syn[e] for e in entries]) == 1:
+        if m - len(echelon([syn[e] for e in entries])) == 1:
             irred[m] += 1
             if not problem.in_degeneracy(entries):
                 nonstab[m] += 1
@@ -620,7 +593,7 @@ def is_irreducible(code, cluster: Cluster, sector: str = "full") -> bool:
     exactly when that kernel is one-dimensional.
     """
     _, entries, cols = _columns(code, cluster, sector)
-    return len(entries) - _rank_of_words(cols) == 1
+    return len(entries) - len(echelon(cols)) == 1
 
 
 def is_irreducible_bruteforce(code, cluster: Cluster, sector: str = "full") -> bool:
@@ -639,35 +612,17 @@ def decompose(code, cluster: Cluster, sector: str = "full") -> tuple[Cluster, ..
     problem, entries, cols = _columns(code, cluster, sector)
 
     def split(entry_idx: list[int]) -> list[list[int]]:
-        words = [cols[i] for i in entry_idx]
         m = len(entry_idx)
-        kernel = _kernel_vectors(words, m)
-        nontrivial = [x for x in kernel if x != (1 << m) - 1]
-        if not nontrivial:
+        full = (1 << m) - 1
+        x = next((x for x in kernel([cols[i] for i in entry_idx]) if x != full), None)
+        if x is None:
             return [entry_idx]
-        x = nontrivial[0]
         left = [entry_idx[i] for i in range(m) if (x >> i) & 1]
         right = [entry_idx[i] for i in range(m) if not (x >> i) & 1]
         return split(left) + split(right)
 
     parts = split(list(range(len(entries))))
     return tuple(problem.cluster_of([entries[i] for i in sorted(part)]) for part in parts)
-
-
-def _kernel_vectors(words, m: int) -> list[int]:
-    """Basis of { x : xor of words[i] over set bits of x is 0 }.
-
-    The words are matrix columns; transpose them into rows and take the
-    right kernel."""
-    nbits = max((w.bit_length() for w in words), default=1)
-    rows = []
-    for b in range(nbits):
-        row = 0
-        for i, w in enumerate(words):
-            if (w >> b) & 1:
-                row |= 1 << i
-        rows.append(row)
-    return [v.bits for v in BitMatrix(tuple(rows), m).kernel_basis()]
 
 
 # -- brute-force census --------------------------------------------------
@@ -807,11 +762,4 @@ def cluster_count_bound_ft_total(n: int, r: int, w: int, m: int) -> int:
 
 def census_bound(code, sector: str, m: int) -> int:
     """Bound column for census tables, matched to the sector."""
-    problem = _build_problem(code, normalize_sector(sector))
-    if problem.bound_kind == "full":
-        return cluster_count_bound(problem.bound_n, problem.bound_w, m)
-    if problem.bound_kind == "css":
-        return cluster_count_bound_css(problem.bound_n, problem.bound_w, m)
-    return cluster_count_bound_ft_total(
-        problem.bound_n, problem.bound_r, problem.bound_w, m
-    )
+    return _build_problem(code, sector).bound(m)

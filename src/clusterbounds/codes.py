@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CommutativityError, ValidationError
-from .gf2 import BitMatrix, BitVector, hstack, vstack, zero_sum_choices
+from .gf2 import BitMatrix, BitVector, echelon, hstack, residue, vstack, zero_sum_choices
 
 _LABEL_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR_LABEL = {lbl: vu for vu, lbl in _LABEL_FOR_BITS.items()}
@@ -383,19 +383,14 @@ def min_nontrivial_weight(
 ) -> int | None:
     """Smallest weight of a vector killed by checks but outside the row
     space of degeneracy, searching exhaustively up to max_weight."""
-    pivots, rows = degeneracy._rref()
+    basis = echelon(degeneracy.rows)
     found: list[int] = []
 
     def on_hit(combo: tuple[int, ...]) -> bool:
-        red = 0
-        for j in combo:
-            red |= 1 << j
-        for c, row in zip(pivots, rows):
-            if (red >> c) & 1:
-                red ^= row
-        if red:
+        if residue(basis, sum(1 << j for j in combo)):
             found.append(len(combo))
-        return bool(red)
+            return True
+        return False
 
     columns = [((col, j),) for j, col in enumerate(checks.transpose().rows)]
     zero_sum_choices(columns, max_weight, on_hit)

@@ -5,6 +5,12 @@ of a row word is column j.  XOR, popcount and hashing are cheap at any
 width, and equal values compare and hash equal, so they can be used as
 set/dict keys and shared freely across threads or processes.
 
+echelon is the one elimination: a basis keyed by each row's highest
+bit.  residue reduces a word by it (0 exactly for span members), and
+kernel runs it on tagged words to read off kernel vectors.  Rank, row
+space membership, kernels, the cluster classifier and degeneracy test,
+decomposition and the distance search all go through these three.
+
 zero_sum_choices is the one exhaustive scan for zero-sum selections of
 columns; the brute-force cluster census and the distance search use it.
 """
@@ -234,56 +240,62 @@ class BitMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def _rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form; pivots are taken at the lowest
-        available column so results are reproducible."""
-        rows = list(self.rows)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            for i in range(len(rows)):
-                if i != r and (rows[i] >> c) & 1:
-                    rows[i] ^= rows[r]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return pivots, rows[:r]
-
     def rank(self) -> int:
-        return len(self._rref()[0])
+        return len(echelon(self.rows))
 
     def kernel_dimension(self) -> int:
         return self.cols - self.rank()
 
     def kernel_basis(self) -> list[BitVector]:
-        """Basis of the right kernel, one vector per free column."""
-        pivots, rows = self._rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            bits = 1 << f
-            for c, row in zip(pivots, rows):
-                if (row >> f) & 1:
-                    bits |= 1 << c
-            basis.append(BitVector(self.cols, bits))
-        return basis
+        """Basis of the right kernel, one vector per column that depends
+        on the columns before it, in column order; that vector is the
+        column plus the unique combination of earlier independent
+        columns equal to it."""
+        return [BitVector(self.cols, x) for x in kernel(self.transpose().rows)]
 
     def row_space_contains(self, x: BitVector) -> bool:
         """Whether x is a GF(2) combination of the rows."""
         _require_same_len(self.cols, x.n)
-        pivots, rows = self._rref()
-        bits = x.bits
-        for c, row in zip(pivots, rows):
-            if (bits >> c) & 1:
-                bits ^= row
-        return bits == 0
+        return not residue(echelon(self.rows), x.bits)
+
+
+def residue(basis: dict[int, int], word: int) -> int:
+    """word reduced by an echelon basis: the row of its highest bit is
+    XORed off while there is one.  Every nonzero combination of basis
+    rows has a key as its highest bit, so the result is 0 exactly when
+    word lies in the span."""
+    while word:
+        row = basis.get(word.bit_length() - 1)
+        if row is None:
+            break
+        word ^= row
+    return word
+
+
+def echelon(words: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the span of words, keyed by each row's highest
+    bit.  Each word is reduced by the basis so far; if it does not
+    vanish its highest bit is new, and it becomes that bit's row.  The
+    rank is the number of rows."""
+    basis: dict[int, int] = {}
+    for w in words:
+        w = residue(basis, w)
+        if w:
+            basis[w.bit_length() - 1] = w
+    return basis
+
+
+def kernel(words: Sequence[int]) -> list[int]:
+    """Basis of { x : the XOR of words[i] over the set bits i of x is 0 }.
+
+    Word i is tagged with bit i below its own bits, (w << m) | 1 << i.
+    A tagged word whose word part reduces to zero becomes the row of its
+    own tag bit, the highest left, and that row is a kernel vector: bit i
+    plus the unique combination of earlier independent words equal to
+    word i.  One vector per dependent word, in index order."""
+    m = len(words)
+    basis = echelon((w << m) | 1 << i for i, w in enumerate(words))
+    return [basis[i] for i in range(m) if i in basis]
 
 
 def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

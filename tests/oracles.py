@@ -1,7 +1,9 @@
 """Literal enumeration oracles.
 
 zero_sum_choices_literal scans every choice of groups and entries
-outright, for checking gf2.zero_sum_choices.
+outright, for checking gf2.zero_sum_choices.  subset_xors lists the XOR
+of every subset of a word list outright, for checking the echelon,
+residue and kernel routines of gf2.
 
 Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
@@ -89,3 +91,16 @@ def zero_sum_choices_literal(groups, max_size: int) -> list[tuple]:
                 if acc == 0:
                     hits.append(tuple(item for _, item in pairs))
     return hits
+
+
+def subset_xors(words) -> dict[int, list[int]]:
+    """Map each subset XOR of words to every subset mask reaching it;
+    the keys are the span, and the masks reaching 0 are the kernel."""
+    out: dict[int, list[int]] = {}
+    for mask in range(1 << len(words)):
+        acc = 0
+        for i, w in enumerate(words):
+            if (mask >> i) & 1:
+                acc ^= w
+        out.setdefault(acc, []).append(mask)
+    return out

@@ -472,6 +472,12 @@ class TestSelfAvoidingCycleCorrespondence:
         assert census.irreducible_nonstabilizer == (0,) * 11
 
 
+def labelled(cluster):
+    """(position, label) pairs of a cluster; the label is None for a
+    binary cluster."""
+    return list(zip(cluster.positions, cluster.paulis or (None,) * cluster.weight))
+
+
 @st.composite
 def random_shapes(draw):
     """(rows, cols, row weight) of a matrix of at most 2 x 3 whose rows
@@ -495,20 +501,31 @@ class TestRandomCodes:
         sector=st.sampled_from(["full", "x", "z", "ft-x", "ft-z"]),
         m_max=st.integers(1, 5),
         budget=st.integers(0, 16),
+        past_the_entries=st.booleans(),
     )
     def test_hypergraph_product_census_matches_bruteforce(
-        self, seed, shapes, sector, m_max, budget
+        self, seed, shapes, sector, m_max, budget, past_the_entries
     ):
         rng = random.Random(seed)
         code = hypergraph_product(*(make_random_matrix(rng, *shape) for shape in shapes))
         if sector.startswith("ft-"):
             code, sector = ft_extend(code, 2, errors=sector[3:]), "ft"
-        # small budgets leave partly grown, mixed-depth frontiers
+        # small budgets leave partly grown, mixed-depth frontiers; the first
+        # layer holds every entry, so only a budget past the entry count
+        # grows the frontier on most of these codes
+        if past_the_entries:
+            budget += len(_build_problem(code, sector).syn)
         with patch.object(clusters_module, "_FRONTIER_BUDGET", budget):
             census = enumerate_clusters(code, m_max, sector=sector, keep_clusters=True)
         oracle = brute_force_census(code, m_max, sector=sector, keep_clusters=True)
         assert census.same_counts(oracle)
         assert census.clusters == oracle.clusters
+        # decompose splits each cluster into disjoint pieces that cover it;
+        # the oracle rejects a detectable piece and finds a reducible one
+        for cluster in (c for group in census.clusters for c in group):
+            parts = decompose(code, cluster, sector)
+            assert sorted(p for part in parts for p in labelled(part)) == labelled(cluster)
+            assert all(is_irreducible_bruteforce(code, part, sector) for part in parts)
 
     def test_census_row_dicts_skip_empty_weights(self, toric3):
         census = enumerate_clusters(toric3, 6, sector="x")

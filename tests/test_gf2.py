@@ -5,8 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbounds import ValidationError
-from clusterbounds.gf2 import BitMatrix, BitVector, hstack, vstack, zero_sum_choices
-from oracles import zero_sum_choices_literal
+from clusterbounds.gf2 import (
+    BitMatrix,
+    BitVector,
+    echelon,
+    hstack,
+    kernel,
+    residue,
+    vstack,
+    zero_sum_choices,
+)
+from oracles import subset_xors, zero_sum_choices_literal
 
 
 def random_bitmatrix(rng, rows, cols):
@@ -126,6 +135,30 @@ class TestRowSpace:
                 if rng.random() < 0.5:
                     acc ^= row
             assert m.row_space_contains(BitVector(7, acc))
+
+
+class TestEchelon:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(st.integers(0, 63), max_size=8),
+        probes=st.lists(st.integers(0, 63), max_size=6),
+    )
+    def test_matches_subset_xor_scan(self, words, probes):
+        span = subset_xors(words)
+        basis = echelon(words)
+        assert len(span) == 1 << len(basis)
+        assert all(row.bit_length() - 1 == h for h, row in basis.items())
+        for x in list(span) + probes:
+            assert (residue(basis, x) == 0) == (x in span)
+        vectors = kernel(words)
+        assert len(vectors) == len(words) - len(basis)
+        # vector k ends at the index of the k-th word that depends on the
+        # words before it, the order decompose splits by
+        dependent = [i for i in range(len(words)) if words[i] in subset_xors(words[:i])]
+        assert [x.bit_length() - 1 for x in vectors] == dependent
+        assert all(x in span[0] for x in vectors)
+        # independent: together they reach every zero-sum subset
+        assert len(subset_xors(vectors)) == len(span[0])
 
 
 class TestKron:
