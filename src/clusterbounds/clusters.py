@@ -23,8 +23,8 @@ check-sharing pairs, which has at most the sum over checks of |entries
 flipping it|^2 rows, so it grows linearly with the code.  Any other
 first entry lies inside s and has the lowest bit of s as its own lowest
 bit, so it comes from that check's short list, and its partner is looked
-up under the rest of s in a syndrome -> entries table, the same closing
-step as gf2.zero_sum_choices.
+up under the rest of s in a syndrome -> entries table.  The brute-force
+scan below closes its choices by lookup too, with no repair rule.
 
 A state's whole subtree depends only on its key, and most partial
 clusters are reached by several orderings, mostly from different seeds.
@@ -46,10 +46,13 @@ decompose splits a cluster along gf2.kernel vectors.
 
 The brute-force census reproduces all four per-weight counts
 independently: the zero-sum scanner gf2.zero_sum_choices, which also
-serves the distance search, visits every choice of up to m_max
+serves the distance search, covers every choice of up to m_max
 positions with one entry each and keeps the undetectable ones, and
 admissible orderings are counted by dynamic programming over subsets
-instead of by recursion.
+instead of by recursion.  From m_max 4 on it closes each choice's last
+two positions by one lookup in a table of entry pairs on two positions,
+at most C(n, 2) w^2 rows for n positions of w entries each, built per
+call and dropped when it returns.
 """
 
 from __future__ import annotations

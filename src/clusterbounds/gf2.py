@@ -13,6 +13,11 @@ decomposition and the distance search all go through these three.
 
 zero_sum_choices is the one exhaustive scan for zero-sum selections of
 columns; the brute-force cluster census and the distance search use it.
+It loops over all but the last groups of a choice and looks the rest up
+by the word that cancels them: the last group alone through a word ->
+entries table, or, when it scans sizes 4 and up, the last two through a
+table of every pick from two groups, at most C(n, 2) w^2 rows for n
+groups of at most w entries.
 """
 
 from __future__ import annotations
@@ -318,32 +323,65 @@ def zero_sum_choices(
     """Report every choice of at most max_size groups, one (word, item)
     pair from each, whose words XOR to zero.
 
-    Choices go by size, then by ascending group index; on_hit gets the
-    chosen items in group order.  The last pair of a choice is looked up
-    by the word that cancels the rest, not scanned for.  A truthy return
-    from on_hit stops the scan, and then this returns True.
+    Choices go by size; on_hit gets the chosen items in group order.  A
+    truthy return from on_hit stops the scan, and then this returns True.
+
+    The last groups of a choice are not scanned for: a closer table maps
+    each word to every pick from the closing groups that XORs to it, and
+    the picks that cancel the rest are looked up.  When max_size >= 4 the
+    table closes the last two groups.  It then holds one row per pick
+    from each pair of groups, at most C(n, 2) w^2 rows for n groups of at
+    most w pairs, fewer than the C(n, 3) w^3 lookups that closing one
+    group makes at size 4 alone.  Below that, building it would cost as
+    much as the scan it spares, so the table closes the last group only.
     """
-    closers: dict[int, list[tuple[int, object]]] = {}
-    for g, group in enumerate(groups):
-        for word, item in group:
-            closers.setdefault(word, []).append((g, item))
     n = len(groups)
+    span = 2 if max_size >= 4 else 1
+    # word -> rows (first closing group, closing items...), first groups
+    # descending
+    closers: dict[int, list[tuple]] = {}
+    for g in reversed(range(n)):
+        for word, item in groups[g]:
+            if span == 1:
+                closers.setdefault(word, []).append((g, item))
+                continue
+            for h in range(g + 1, n):
+                for other, last in groups[h]:
+                    closers.setdefault(word ^ other, []).append((g, item, last))
 
-    def extend(start: int, acc: int, chosen: tuple, left: int) -> bool:
-        # choose `left` more groups from start on, then close the choice
-        if left > 1:
-            for g in range(start, n - left):
-                for word, item in groups[g]:
-                    if extend(g + 1, acc ^ word, chosen + (item,), left - 1):
-                        return True
-            return False
-        for g in range(start, n - 1):
+    if max_size >= 1:
+        for group in groups:
+            for word, item in group:
+                if not word and on_hit((item,)):
+                    return True
+    for size in range(2, max_size + 1):
+        if size == span:
+            if any(on_hit(row[1:]) for row in closers.get(0, ())):
+                return True
+        elif _close_choices(groups, closers, span, on_hit, 0, 0, (), size - span):
+            return True
+    return False
+
+
+def _close_choices(groups, closers, span, on_hit, start, acc, chosen, left) -> bool:
+    # choose `left` more groups from start on, the last of them looped
+    # here, and close each choice by the closer rows whose first group
+    # comes after it
+    n = len(groups)
+    if left > 1:
+        for g in range(start, n - span - left + 1):
             for word, item in groups[g]:
-                for h, last in closers.get(acc ^ word, ()):
-                    if h > g and on_hit(chosen + (item, last)):
-                        return True
+                found = _close_choices(
+                    groups, closers, span, on_hit, g + 1, acc ^ word, chosen + (item,), left - 1
+                )
+                if found:
+                    return True
         return False
-
-    if max_size >= 1 and any(on_hit((item,)) for _, item in closers.get(0, ())):
-        return True
-    return any(extend(0, 0, (), size - 1) for size in range(2, max_size + 1))
+    for g in range(start, n - span):
+        for word, item in groups[g]:
+            for row in closers.get(acc ^ word, ()):
+                if row[0] <= g:
+                    break
+                if on_hit(chosen + (item,) + row[1:]):
+                    return True
+    return False

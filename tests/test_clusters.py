@@ -122,6 +122,12 @@ class TestEnumerate:
         census = enumerate_clusters(toric3, 5, sector="x", keep_clusters=True)
         assert_sound_census(toric3, census, "x")
 
+    def test_toric3_full_weight_seven_matches_bruteforce(self, toric3):
+        census = enumerate_clusters(toric3, 7, sector="full", keep_clusters=True)
+        oracle = brute_force_census(toric3, 7, sector="full", keep_clusters=True)
+        assert census.same_counts(oracle)
+        assert census.clusters == oracle.clusters
+
     def test_cycle_ordering_multiplicity(self, toric3):
         # below weight 6 every recorded cluster is one self-avoiding
         # cycle, and a cycle admits exactly one ordering per start edge
@@ -243,6 +249,15 @@ class TestFrontier:
         assert len(problem.syn) < sizes[1] <= 300 + children
 
 
+@st.composite
+def random_shapes(draw):
+    """(rows, cols, row weight) of a matrix of at most 2 x 3 whose rows
+    can cover every column."""
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(2, 3))
+    return rows, cols, draw(st.integers(-(-cols // rows), cols))
+
+
 class TestInvariance:
     def test_irreducible_counts_survive_row_permutation(self, toric3):
         base = enumerate_clusters(toric3, 6, sector="x")
@@ -277,6 +292,33 @@ class TestInvariance:
         assert cen.distinct == base.distinct
         assert cen.irreducible == base.irreducible
         assert cen.paths == base.paths
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.tuples(random_shapes(), random_shapes()),
+        sector=st.sampled_from(["full", "x"]),
+        m_max=st.integers(1, 5),
+    )
+    def test_counts_survive_qubit_permutation(self, seed, shapes, sector, m_max):
+        rng = random.Random(seed)
+        code = hypergraph_product(*(make_random_matrix(rng, *shape) for shape in shapes))
+        perm = list(range(code.n))
+        rng.shuffle(perm)
+
+        def permuted(m):
+            return BitMatrix(
+                tuple(sum(((r >> j) & 1) << perm[j] for j in range(m.cols)) for r in m.rows),
+                m.cols,
+            )
+
+        relabeled = new_css(permuted(code.G_X), permuted(code.G_Z), d=code.d)
+        for census in (enumerate_clusters, brute_force_census):
+            base = census(code, m_max, sector=sector)
+            moved = census(relabeled, m_max, sector=sector)
+            assert moved.distinct == base.distinct
+            assert moved.irreducible == base.irreducible
+            assert moved.irreducible_nonstabilizer == base.irreducible_nonstabilizer
 
 
 class TestIrreducibility:
@@ -478,15 +520,6 @@ def labelled(cluster):
     return list(zip(cluster.positions, cluster.paulis or (None,) * cluster.weight))
 
 
-@st.composite
-def random_shapes(draw):
-    """(rows, cols, row weight) of a matrix of at most 2 x 3 whose rows
-    can cover every column."""
-    rows = draw(st.integers(1, 2))
-    cols = draw(st.integers(2, 3))
-    return rows, cols, draw(st.integers(-(-cols // rows), cols))
-
-
 class TestRandomCodes:
     def test_enumeration_matches_bruteforce(self, random_css_codes):
         for code in random_css_codes:
@@ -499,7 +532,8 @@ class TestRandomCodes:
         seed=st.integers(0, 2**32 - 1),
         shapes=st.tuples(random_shapes(), random_shapes()),
         sector=st.sampled_from(["full", "x", "z", "ft-x", "ft-z"]),
-        m_max=st.integers(1, 5),
+        # the frontier grows only from m_max 4 on, so most draws go there
+        m_max=st.integers(4, 6) | st.integers(1, 3),
         budget=st.integers(0, 16),
         past_the_entries=st.booleans(),
     )

@@ -162,6 +162,11 @@ class TestToricCode:
         assert css_distance_bruteforce(toric2, 3) == 2
         assert css_distance_bruteforce(toric3, 4) == 3
 
+    def test_distance_bruteforce_reaches_weight_six(self):
+        # every choice of up to 5 of the 72 columns in each sector is
+        # scanned before the first weight-6 logical
+        assert css_distance_bruteforce(toric_code(6), 6) == 6
+
     def test_rank_L4(self, toric4):
         assert toric4.G_X.rank() == 15
         assert toric4.G_Z.rank() == 15

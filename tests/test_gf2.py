@@ -217,31 +217,43 @@ class TestMatmulStack:
 
 
 # a few short words over 3 bits, so that zero sums are common
-_groups = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=3), max_size=7).map(
+_groups = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=3), max_size=8).map(
     lambda gs: [[(w, (g, k)) for k, w in enumerate(ws)] for g, ws in enumerate(gs)]
 )
+# every max_size up to 6 on up to 8 groups reaches each way a choice is
+# closed: the lone closing group below size 4, and from 4 on the pair
+# table under word 0 at size 2, one looped group and a pair at size 3,
+# and deeper recursion above
+_MAX_SIZES = range(7)
 
 
 class TestZeroSumChoices:
     @settings(max_examples=150, deadline=None)
-    @given(groups=_groups, max_size=st.integers(0, 4))
-    def test_matches_literal_scan(self, groups, max_size):
-        hits = []
-        assert not zero_sum_choices(groups, max_size, hits.append)
-        assert sorted(hits) == sorted(zero_sum_choices_literal(groups, max_size))
-        assert [len(h) for h in hits] == sorted(len(h) for h in hits)
-        for h in hits:
-            assert [g for g, _ in h] == sorted({g for g, _ in h})
+    @given(groups=_groups)
+    def test_matches_literal_scan(self, groups):
+        literal = sorted(zero_sum_choices_literal(groups, _MAX_SIZES[-1]))
+        for max_size in _MAX_SIZES:
+            hits = []
+            assert not zero_sum_choices(groups, max_size, hits.append)
+            assert sorted(hits) == [h for h in literal if len(h) <= max_size]
+            assert [len(h) for h in hits] == sorted(len(h) for h in hits)
+            for h in hits:
+                assert [g for g, _ in h] == sorted({g for g, _ in h})
 
     @settings(max_examples=50, deadline=None)
-    @given(groups=_groups, max_size=st.integers(1, 4), stop_at=st.integers(1, 5))
-    def test_truthy_hit_stops_the_scan(self, groups, max_size, stop_at):
-        total = len(zero_sum_choices_literal(groups, max_size))
-        calls = []
+    @given(groups=_groups, data=st.data())
+    def test_truthy_hit_stops_the_scan(self, groups, data):
+        sizes = sorted(len(h) for h in zero_sum_choices_literal(groups, _MAX_SIZES[-1]))
+        for max_size in _MAX_SIZES:
+            total = sum(m <= max_size for m in sizes)
+            # any hit may stop the scan, the deepest ones included
+            stop_at = data.draw(st.integers(1, total + 1))
+            calls = []
 
-        def on_hit(items):
-            calls.append(items)
-            return len(calls) == stop_at
+            def on_hit(items):
+                calls.append(items)
+                return len(calls) == stop_at
 
-        assert zero_sum_choices(groups, max_size, on_hit) == (total >= stop_at)
-        assert len(calls) == min(total, stop_at)
+            assert zero_sum_choices(groups, max_size, on_hit) == (total >= stop_at)
+            assert len(calls) == min(total, stop_at)
+            assert [len(h) for h in calls] == sizes[: len(calls)]
