@@ -62,8 +62,6 @@ class CodeParams:
     w_X: int | None = None
     w_Z: int | None = None
     D: float = inf
-    n: int | None = None
-    d: int | None = None
 
     def __post_init__(self) -> None:
         if self.D <= 0:
@@ -153,13 +151,13 @@ def solve_threshold(
     free: str,
     fixed: ChannelParams = ChannelParams(),
     model: str = "css",
-    tol: float = 1e-9,
 ) -> float:
     """Largest value of one error rate that still satisfies the model's
     condition, with the other rates held fixed.
 
     The left-hand sides are increasing in each rate on the search
-    bracket ([0, 1] for y, [0, 1/2] otherwise), so bisection applies.
+    bracket ([0, 1] for y, [0, 1/2] otherwise), so bisection applies;
+    it stops once the bracket is at most 1e-9 wide.
     free='p' under a CSS model ties p_X = p_Z = p.
     """
     rhs = code.rhs()
@@ -172,7 +170,7 @@ def solve_threshold(
         raise ValidationError("condition already violated at rate 0")
     if lhs_at(hi) <= rhs:
         raise ValidationError("no sign change on the bracket; condition holds everywhere")
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if lhs_at(mid) <= rhs:
             lo = mid

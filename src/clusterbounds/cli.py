@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .bounds import (
+    MODELS,
     ChannelParams,
     CodeParams,
     bad_probability_bound_css,
@@ -26,7 +27,7 @@ from .bounds import (
     solve_threshold,
     with_rate,
 )
-from .clusters import brute_force_census, census_bound, enumerate_clusters
+from .clusters import DEFAULT_CLUSTER_CAP, brute_force_census, census_bound, enumerate_clusters
 from .codes import ft_extend, hypergraph_product, new_css, new_stabilizer, toric_code
 from .errors import ResourceCapError, ValidationError
 from .fitting import fit_log_growth
@@ -38,16 +39,6 @@ from .matio import (
     write_alist,
     write_csv,
 )
-
-WORKERS_ENV = "CLUSTERBOUNDS_WORKERS"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 def _add_code_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
@@ -316,16 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sector", default="full", choices=["full", "x", "z", "ft-x", "ft-z"])
     c.add_argument("--rounds", type=int, help="measurement rounds for ft-* sectors")
     c.add_argument("--m-max", type=int, required=True, dest="m_max")
-    c.add_argument("--workers", type=int, default=_default_workers())
+    c.add_argument("--workers", type=int, default=1)
     c.add_argument(
         "--max-stored",
         type=int,
-        default=10**7,
+        default=DEFAULT_CLUSTER_CAP,
         dest="max_stored",
         help=(
-            "cap on the census's distinct clusters; the search also holds up to "
-            "min(2048, this) partial clusters, and each worker process, which "
-            "searches its share of those, holds up to this many clusters"
+            "cap on the census's distinct clusters; it also bounds the search's "
+            "frontier of partial clusters, and each worker process, which "
+            "searches its share of that frontier, holds up to this many clusters"
         ),
     )
     c.add_argument("--oracle", action="store_true", help="cross-check against brute force")
@@ -333,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_census)
 
     t = subs.add_parser("threshold", help="solve or sweep decodability conditions")
-    t.add_argument("--model", default="css", choices=["stabilizer", "css", "ft-stabilizer", "ft-css"])
+    t.add_argument("--model", default="css", choices=MODELS)
     t.add_argument("--w", type=int)
     t.add_argument("--wx", type=int)
     t.add_argument("--wz", type=int)

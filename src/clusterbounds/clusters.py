@@ -65,7 +65,7 @@ from math import comb
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
 from .errors import ResourceCapError, ValidationError
-from .gf2 import BitMatrix, echelon, kernel, residue, zero_sum_choices
+from .gf2 import BitMatrix, echelon, kernel, residue, zero_sum_choices, zero_sum_work
 
 DEFAULT_CLUSTER_CAP = 10**7
 # partial clusters held between the breadth-first and the depth-first
@@ -74,23 +74,6 @@ DEFAULT_CLUSTER_CAP = 10**7
 _FRONTIER_BUDGET = 2048
 _PAULI_LABELS = "XYZ"
 _PAULI_LABEL_INDEX = {lab: i for i, lab in enumerate(_PAULI_LABELS)}
-_SECTOR_ALIASES = {
-    "full": "full",
-    "full-pauli": "full",
-    "x": "x",
-    "x-type": "x",
-    "z": "z",
-    "z-type": "z",
-    "ft": "ft",
-    "ft-binary": "ft",
-}
-
-
-def normalize_sector(sector: str) -> str:
-    key = sector.strip().lower()
-    if key not in _SECTOR_ALIASES:
-        raise ValidationError(f"unknown sector {sector!r}")
-    return _SECTOR_ALIASES[key]
 
 
 @dataclass(frozen=True)
@@ -128,12 +111,15 @@ class ClusterCensus:
     counts completion events, i.e. clusters with ordering multiplicity.
     """
 
-    m_max: int
     distinct: tuple[int, ...]
     irreducible: tuple[int, ...]
     irreducible_nonstabilizer: tuple[int, ...]
     paths: tuple[int, ...]
     clusters: tuple[tuple[Cluster, ...], ...] | None = None
+
+    @property
+    def m_max(self) -> int:
+        return len(self.distinct) - 1
 
     def weights(self) -> range:
         return range(1, self.m_max + 1)
@@ -167,13 +153,7 @@ class ClusterCensus:
         return rows
 
     def same_counts(self, other: "ClusterCensus") -> bool:
-        return (
-            self.m_max == other.m_max
-            and self.distinct == other.distinct
-            and self.irreducible == other.irreducible
-            and self.irreducible_nonstabilizer == other.irreducible_nonstabilizer
-            and self.paths == other.paths
-        )
+        return self.count_fields() == other.count_fields()
 
 
 # -- internal problem representation ----------------------------------
@@ -254,7 +234,6 @@ def _syndrome(key: int, syn) -> int:
 # holds megabytes (toric L=12 full: about 3.4 MB), so only a few are kept
 @lru_cache(maxsize=4)
 def _build_problem(code, sector: str) -> _Problem:
-    sector = normalize_sector(sector)
     if sector == "full":
         if isinstance(code, CssCode):
             stab = code.stabilizer
@@ -282,6 +261,8 @@ def _build_problem(code, sector: str) -> _Problem:
             degeneracy,
             partial(cluster_count_bound_css, code.n, checks.max_row_weight()),
         )
+    if sector != "ft":
+        raise ValidationError(f"unknown sector {sector!r}, expected full, x, z or ft")
     if not isinstance(code, FtCode):
         raise ValidationError("space-time enumeration needs an FtCode")
     qubit_mask = (1 << code.qubit_cols) - 1
@@ -392,7 +373,7 @@ def _frontier(branches, syn, m_max: int, limit: int) -> dict[int, int]:
     return layer
 
 
-def _run_seeds(branches, closers, pairs, lowest, syn, starts, m_max: int, cap: int):
+def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     """Depth-first search from (key, multiplicity) starts; returns
     per-weight path counts and the set of recorded cluster keys.
 
@@ -408,6 +389,9 @@ def _run_seeds(branches, closers, pairs, lowest, syn, starts, m_max: int, cap: i
     looked up under s.  Otherwise syn(e1) lies inside s, so its lowest bit
     is s's: e1 is on that check's lowest list, and e2 is looked up in
     closers under s ^ syn(e1)."""
+    branches, closers, pairs, lowest = (
+        problem.branches, problem.closers, problem.pairs, problem.lowest
+    )
     paths = [0] * (m_max + 1)
     found: set[int] = set()
     penult = m_max - 2
@@ -453,7 +437,7 @@ def _run_seeds(branches, closers, pairs, lowest, syn, starts, m_max: int, cap: i
                 close(key | bit, ns)
 
     for key, mult in starts:
-        s = _syndrome(key, syn)
+        s = _syndrome(key, problem.syn)
         depth = key.bit_count()
         if s == 0:
             record(key, depth)
@@ -480,7 +464,6 @@ def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
             tuple(sorted(cl, key=lambda c: (c.positions, c.paulis or ()))) for cl in kept
         )
     return ClusterCensus(
-        m_max=len(distinct) - 1,
         distinct=tuple(distinct),
         irreducible=tuple(irred),
         irreducible_nonstabilizer=tuple(nonstab),
@@ -528,21 +511,19 @@ def enumerate_clusters(
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
-    count.  The search also holds up to min(2048, max_stored) partial
-    clusters in its frontier (2048 is _FRONTIER_BUDGET).  Workers split
-    that frontier, not the seeds; each holds the distinct clusters found
-    from its share, up to max_stored of them, and the shares overlap in
-    the clusters they find, so a run on N workers may hold up to N times
-    the cap.
+    count.  The search also holds up to min(_FRONTIER_BUDGET, max_stored)
+    partial clusters in its frontier.  Workers split that frontier, not
+    the seeds; each holds the distinct clusters found from its share, up
+    to max_stored of them, and the shares overlap in the clusters they
+    find, so a run on N workers may hold up to N times the cap.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
     problem = _build_problem(code, sector)
-    tables = (problem.branches, problem.closers, problem.pairs, problem.lowest, problem.syn)
     limit = min(_FRONTIER_BUDGET, max_stored)
     starts = _frontier(problem.branches, problem.syn, m_max, limit).items()
     if workers <= 1:
-        paths, found = _run_seeds(*tables, starts, m_max, max_stored)
+        paths, found = _run_seeds(problem, starts, m_max, max_stored)
     else:
         paths = [0] * (m_max + 1)
         found = set()
@@ -550,7 +531,7 @@ def enumerate_clusters(
             results = pool.map(
                 _worker_run,
                 [
-                    (*tables, list(islice(starts, i, None, workers)), m_max, max_stored)
+                    (problem, list(islice(starts, i, None, workers)), m_max, max_stored)
                     for i in range(min(workers, len(starts)))
                 ],
             )
@@ -682,17 +663,19 @@ def brute_force_census(
     are recovered by counting admissible orderings per configuration.
     Configurations with no admissible ordering (disconnected pieces the
     search can never assemble) are excluded from the distinct count,
-    matching the recursive enumeration exactly.
+    matching the recursive enumeration exactly.  A scan that would make
+    more than guard table rows and lookups (gf2.zero_sum_work) is
+    refused with ResourceCapError before it starts.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
     problem = _build_problem(code, sector)
     width = problem.width
     n = len(problem.syn) // width
-    work = sum(comb(n, m) * width**m for m in range(1, m_max + 1))
+    work = zero_sum_work([width] * n, m_max)
     if work > guard:
         raise ResourceCapError(
-            f"brute-force scan needs {work} configurations, above the guard {guard}"
+            f"brute-force scan needs {work} table rows and lookups, above the guard {guard}"
         )
 
     distinct = [0] * (m_max + 1)

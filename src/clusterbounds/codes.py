@@ -122,7 +122,6 @@ class StabilizerCode:
     k: int
     w: int
     d: int | None = None
-    D: float | None = None
 
     @property
     def r(self) -> int:
@@ -149,20 +148,15 @@ class StabilizerCode:
         return self.G.row_space_contains(e.to_binary())
 
 
-def new_stabilizer(
-    G: BitMatrix, n: int | None = None, d: int | None = None, D: float | None = None
-) -> StabilizerCode:
+def new_stabilizer(G: BitMatrix, d: int | None = None) -> StabilizerCode:
     """Validate a generator matrix and build the code.
 
     Rejects zero rows and any anticommuting row pair (reported by
     index).  The check matrix is G with the X and Z blocks swapped.
     """
-    if n is None:
-        if G.cols % 2:
-            raise ValidationError("generator matrix must have 2n columns")
-        n = G.cols // 2
-    if G.cols != 2 * n:
-        raise ValidationError(f"expected {2 * n} columns, got {G.cols}")
+    if G.cols % 2:
+        raise ValidationError("generator matrix must have 2n columns")
+    n = G.cols // 2
     mask = (1 << n) - 1
     for i, row in enumerate(G.rows):
         if row == 0:
@@ -175,7 +169,7 @@ def new_stabilizer(
     H = BitMatrix(tuple(((row >> n) | ((row & mask) << n)) for row in G.rows), 2 * n)
     k = n - G.rank()
     w = max(_pauli_row_weight(row, n) for row in G.rows)
-    return StabilizerCode(G=G, H=H, n=n, k=k, w=w, d=d, D=D)
+    return StabilizerCode(G=G, H=H, n=n, k=k, w=w, d=d)
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,6 @@ class CssCode:
     w_X: int
     w_Z: int
     d: int | None = None
-    D: float | None = None
 
     @cached_property
     def stabilizer(self) -> StabilizerCode:
@@ -198,7 +191,7 @@ class CssCode:
         x_rows = tuple(r for r in self.G_X.rows)
         z_rows = tuple(r << n for r in self.G_Z.rows)
         G = BitMatrix(x_rows + z_rows, 2 * n)
-        return new_stabilizer(G, n, d=self.d, D=self.D)
+        return new_stabilizer(G, d=self.d)
 
     def sector(self, errors: str) -> tuple[BitMatrix, BitMatrix]:
         """(checks, degeneracy) pair for one error type.
@@ -213,9 +206,7 @@ class CssCode:
         raise ValidationError(f"unknown sector {errors!r}, expected 'x' or 'z'")
 
 
-def new_css(
-    G_X: BitMatrix, G_Z: BitMatrix, d: int | None = None, D: float | None = None
-) -> CssCode:
+def new_css(G_X: BitMatrix, G_Z: BitMatrix, d: int | None = None) -> CssCode:
     """Validate orthogonality of the two sectors and build the code."""
     if G_X.cols != G_Z.cols:
         raise ValidationError("G_X and G_Z must have the same number of columns")
@@ -237,7 +228,6 @@ def new_css(
         w_X=G_X.max_row_weight(),
         w_Z=G_Z.max_row_weight(),
         d=d,
-        D=D,
     )
 
 

@@ -17,7 +17,8 @@ It loops over all but the last groups of a choice and looks the rest up
 by the word that cancels them: the last group alone through a word ->
 entries table, or, when it scans sizes 4 and up, the last two through a
 table of every pick from two groups, at most C(n, 2) w^2 rows for n
-groups of at most w entries.
+groups of at most w entries.  zero_sum_work counts those rows and
+lookups ahead of a scan.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ def zero_sum_choices(
     much as the scan it spares, so the table closes the last group only.
     """
     n = len(groups)
-    span = 2 if max_size >= 4 else 1
+    span = _span(max_size)
     # word -> rows (first closing group, closing items...), first groups
     # descending
     closers: dict[int, list[tuple]] = {}
@@ -361,6 +362,27 @@ def zero_sum_choices(
         elif _close_choices(groups, closers, span, on_hit, 0, 0, (), size - span):
             return True
     return False
+
+
+def _span(max_size: int) -> int:
+    """How many last groups the closer table closes (see zero_sum_choices)."""
+    return 2 if max_size >= 4 else 1
+
+
+def zero_sum_work(sizes: Sequence[int], max_size: int) -> int:
+    """Rows of the closer table plus closer lookups that zero_sum_choices
+    makes on groups of these sizes; its time and memory grow with this
+    count.  Its loops choose groups among all but the closing ones and
+    look up once per pick of one entry from each chosen group."""
+    span = _span(max_size)
+    # picks[k]: picks of one entry from each of k groups the loops choose
+    picks = [1] + [0] * max_size
+    for size in sizes[: len(sizes) - span]:
+        for k in range(max_size, 0, -1):
+            picks[k] += picks[k - 1] * size
+    total = sum(sizes)
+    rows = total if span == 1 else (total * total - sum(s * s for s in sizes)) // 2
+    return rows + sum(picks[1 : max_size - span + 1])
 
 
 def _close_choices(groups, closers, span, on_hit, start, acc, chosen, left) -> bool:

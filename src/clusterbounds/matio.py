@@ -104,12 +104,13 @@ def read_matrix(path: str, fmt: str = "auto") -> BitMatrix:
         return parse_dense(text)
     if fmt != "auto":
         raise ValidationError(f"unknown matrix format {fmt!r}")
-    # alist starts with "n m"; a dense file's first row is all 0/1 digits
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    toks = first.split()
-    if len(toks) == 2 and all(t.isdigit() for t in toks) and any(int(t) > 1 for t in toks):
-        return parse_alist(text)
-    return parse_dense(text)
+    # dense rows are 0/1 digits of one width; no valid alist file is, as
+    # its "n m" header and its n column weights differ in digit count
+    rows = [ln.strip().replace(" ", "") for ln in text.splitlines()]
+    rows = [r for r in rows if r and not r.startswith("#")]
+    if len(set(map(len, rows))) <= 1 and all(set(r) <= {"0", "1"} for r in rows):
+        return parse_dense(text)
+    return parse_alist(text)
 
 
 # -- table output ---------------------------------------------------------

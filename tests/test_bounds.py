@@ -2,6 +2,8 @@ import math
 from math import comb, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbounds import (
     ChannelParams,
@@ -26,6 +28,8 @@ from clusterbounds import (
 from oracles import bad_sum_css, bad_sum_depol, bad_sum_ft
 
 RATES = [round(0.05 * i, 2) for i in range(11)]
+# the edges and the ties of the closed forms, then any rate
+_rates = st.sampled_from([0.0, 1.0, 0.5, 0.75, 1 / 3]) | st.floats(0.0, 1.0)
 
 
 class TestEffectiveErasure:
@@ -281,6 +285,18 @@ class TestDomination:
                         assert exact_bad_probability_ft(
                             m, m_q, p, q
                         ) <= bad_probability_bound_ft(m, m_q, p, q) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 8), y=_rates, p=_rates)
+    def test_css_and_depol_at_random_rates(self, m, y, p):
+        assert exact_bad_probability_css(m, y, p) <= bad_probability_bound_css(m, y, p) + 1e-12
+        assert exact_bad_probability_depol(m, y, p) <= bad_probability_bound_depol(m, y, p) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 8), data=st.data(), p=_rates, q=_rates)
+    def test_ft_at_random_rates(self, m, data, p, q):
+        m_q = data.draw(st.integers(0, m))
+        assert exact_bad_probability_ft(m, m_q, p, q) <= bad_probability_bound_ft(m, m_q, p, q) + 1e-12
 
     def test_exact_sums_monotone_in_flip_rate(self):
         # monotone in p at fixed y; the erasure direction can decrease

@@ -1,8 +1,6 @@
-import os
-
 import pytest
 
-from clusterbounds.cli import build_parser, main
+from clusterbounds.cli import main
 from clusterbounds.matio import read_matrix, write_csv
 
 
@@ -212,17 +210,3 @@ class TestFit:
         path = tmp_path / "census.csv"
         write_csv(str(path), ["m", "distinct"], [[1, 2], [2, 3], [3, 4]], {})
         assert run("fit", str(path), "--field", "nope") == 2
-
-
-class TestWorkersEnv:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("CLUSTERBOUNDS_WORKERS", "3")
-        parser = build_parser()
-        args = parser.parse_args(["census", "toric", "--L", "2", "--m-max", "2"])
-        assert args.workers == 3
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("CLUSTERBOUNDS_WORKERS", "many")
-        parser = build_parser()
-        args = parser.parse_args(["census", "toric", "--L", "2", "--m-max", "2"])
-        assert args.workers == 1

@@ -94,9 +94,9 @@ class TestNewStabilizer:
         with pytest.raises(ValidationError):
             new_stabilizer(BitMatrix.zeros(1, 4))
 
-    def test_explicit_qubit_count_checked(self):
-        with pytest.raises(ValidationError):
-            new_stabilizer(BitMatrix.from_lists([[1, 1, 0, 0]]), n=3)
+    def test_odd_column_count_rejected(self):
+        with pytest.raises(ValidationError, match="2n columns"):
+            new_stabilizer(BitMatrix.from_lists([[1, 1, 0]]))
 
     def test_dependent_rows_do_not_change_k(self, toric2):
         stab = toric2.stabilizer

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from clusterbounds.gf2 import (
     residue,
     vstack,
     zero_sum_choices,
+    zero_sum_work,
 )
 from oracles import subset_xors, zero_sum_choices_literal
 
@@ -257,3 +259,14 @@ class TestZeroSumChoices:
             assert zero_sum_choices(groups, max_size, on_hit) == (total >= stop_at)
             assert len(calls) == min(total, stop_at)
             assert [len(h) for h in calls] == sizes[: len(calls)]
+
+    @pytest.mark.parametrize("n, w", [(18, 3), (7, 1), (2, 3)])
+    def test_work_of_uniform_groups(self, n, w):
+        # below size 4 the table holds every entry and the loops pick up to
+        # max_size - 1 groups of the first n - 1; from 4 on it holds every
+        # pick from two groups and the loops pick from the first n - 2
+        for max_size in range(1, 8):
+            span = 2 if max_size >= 4 else 1
+            rows = n * w if span == 1 else comb(n, 2) * w * w
+            lookups = sum(comb(n - span, k) * w**k for k in range(1, max_size - span + 1))
+            assert zero_sum_work([w] * n, max_size) == rows + lookups

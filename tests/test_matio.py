@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbounds import ValidationError
 from clusterbounds.gf2 import BitMatrix
@@ -19,6 +21,18 @@ from clusterbounds.matio import (
 
 def random_bitmatrix(rng, rows, cols):
     return BitMatrix(tuple(rng.getrandbits(cols) for _ in range(rows)), cols)
+
+
+_matrices = st.integers(1, 12).flatmap(
+    lambda cols: st.lists(st.integers(0, 2**cols - 1), min_size=1, max_size=8).map(
+        lambda rows: BitMatrix(tuple(rows), cols)
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("matio")
 
 
 class TestAlist:
@@ -84,6 +98,27 @@ class TestReadMatrix:
         assert read_matrix(str(alist_path)) == m
         assert read_matrix(str(dense_path)) == m
 
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ("11 01\n10 10\n", [[1, 1, 0, 1], [1, 0, 1, 0]]),
+            ("# comment\n1 0 1\n\n0 1 1\n", [[1, 0, 1], [0, 1, 1]]),
+            ("10\n01\n", [[1, 0], [0, 1]]),
+            ("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n", [[1, 1]]),
+            ("1 1\n1 1\n1\n1\n1\n1\n", [[1]]),
+        ],
+    )
+    def test_auto_detect_cases(self, tmp_path, text, rows):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert read_matrix(str(path)) == BitMatrix.from_lists(rows)
+
+    def test_auto_detect_reports_alist_errors(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("11 01\n10 1\n")
+        with pytest.raises(ValidationError, match="alist"):
+            read_matrix(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="cannot read"):
             read_matrix("/nonexistent/matrix.alist")
@@ -134,3 +169,30 @@ class TestTables:
         write_csv(str(path), ["m", "distinct"], [[3, 6], [4, 2.5]], {"command": "census"})
         with pytest.raises(ValidationError, match="line 5"):
             read_census_csv(str(path))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(m=_matrices)
+    def test_matrix_formats(self, m, scratch):
+        path = scratch / "matrix.txt"
+        for write, parse in ((write_alist, parse_alist), (write_dense, parse_dense)):
+            text = write(m)
+            assert parse(text) == m
+            path.write_text(text)
+            assert read_matrix(str(path)) == m
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        table=st.dictionaries(
+            st.integers(0, 64), st.tuples(st.integers(0, 10**60), st.integers(0, 10**60)),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_census_csv(self, table, scratch):
+        path = str(scratch / "census.csv")
+        write_csv(path, ["m", "distinct", "paths"], [[m, *v] for m, v in table.items()], {})
+        assert read_census_csv(path) == {
+            "distinct": {m: v[0] for m, v in table.items()},
+            "paths": {m: v[1] for m, v in table.items()},
+        }
