@@ -21,13 +21,13 @@ census = enumerate_clusters(code, 6, sector="x", keep_clusters=True)
 oracle = brute_force_census(code, 6, sector="x")
 
 print("toric L=3, X-type clusters up to weight 6")
+widths = (9, 12, 14, 6)  # distinct, irreducible, nonstabilizer, paths
 print(f"{'m':>2} {'distinct':>9} {'irreducible':>12} {'nonstabilizer':>14}"
       f" {'paths':>6} {'bound':>7}")
-for row in census.row_dicts():
-    m = row["m"]
-    print(f"{m:>2} {row['distinct']:>9} {row['irreducible']:>12}"
-          f" {row['irreducible_nonstabilizer']:>14} {row['paths']:>6}"
-          f" {census_bound(code, 'x', m):>7}")
+for m in census.weights():
+    if census.distinct[m]:
+        counts = [f"{vals[m]:>{w}}" for vals, w in zip(census.count_fields().values(), widths)]
+        print(f"{m:>2}", *counts, f"{census_bound(code, 'x', m):>7}")
 print("matches the exhaustive scan:", census.same_counts(oracle))
 print()
 

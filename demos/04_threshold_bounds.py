@@ -17,6 +17,7 @@ from clusterbounds import (
     effective_erasure_css,
     erasure_tail_bound,
     solve_threshold,
+    threshold_curve,
 )
 
 print("effective erasure rates")
@@ -44,14 +45,7 @@ print()
 
 # trade-off curve: erasures vs flips for the fault-tolerant CSS model
 print("erasure vs flip trade-off (ft-css, w=4, q=0.001)")
-base = CodeParams(w=4)
-y_max = solve_threshold(base, "y", ChannelParams(q=0.001), model="ft-css")
-for i in range(6):
-    y = y_max * i / 5
-    try:
-        p = solve_threshold(base, "p", ChannelParams(y=y, q=0.001), model="ft-css")
-    except Exception:
-        p = 0.0
+for y, p in threshold_curve(CodeParams(w=4), "y", "p", ChannelParams(q=0.001), "ft-css", 6):
     print(f"  y={y:.4f}  p_max={p:.6f}")
 print()
 

@@ -23,7 +23,7 @@ for m in census.weights():
               f" {census.irreducible_nonstabilizer[m]:>14}")
 print()
 
-fit = fit_log_growth(census, "irreducible", (4, 10))
+fit = fit_log_growth(census.counts("irreducible"), (4, 10))
 print(f"ln(count) = {fit.intercept:.3f} + {fit.slope:.3f} * m"
       f"  over weights {fit.weights}")
 print(f"growth base e^slope = {fit.growth_base:.3f}  (ceiling base w-1 = {code.w_Z - 1})")

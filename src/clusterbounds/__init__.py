@@ -68,6 +68,7 @@ from .bounds import (
     exact_bad_probability_ft,
     ft_total_bad_bound,
     solve_threshold,
+    threshold_curve,
 )
 from .fitting import FitResult, fit_log_growth
 
@@ -121,6 +122,7 @@ __all__ = [
     "repetition_transpose",
     "solve_threshold",
     "symplectic_product",
+    "threshold_curve",
     "toric_code",
     "vstack",
 ]

@@ -64,8 +64,8 @@ class CodeParams:
     D: float = inf
 
     def __post_init__(self) -> None:
-        if self.D <= 0:
-            raise ValidationError("D must be positive (or inf)")
+        if not self.D > 0:  # NaN fails this too
+            raise ValidationError(f"D must be positive (or inf), got {self.D}")
 
     def weight(self) -> int:
         if self.w is None:
@@ -132,15 +132,16 @@ def condition_holds(code: CodeParams, ch: ChannelParams, model: str) -> bool:
     return condition_lhs(code, ch, model) <= code.rhs()
 
 
-_FREE_FIELDS = {"y": "y", "p": "p", "pX": "p_X", "p_X": "p_X", "pZ": "p_Z", "p_Z": "p_Z", "q": "q"}
+# free-rate name (CLI flag, --solve and --curve spelling) -> ChannelParams field
+RATES = {"y": "y", "p": "p", "pX": "p_X", "pZ": "p_Z", "q": "q"}
 
 
 def with_rate(fixed: ChannelParams, free: str, value: float, model: str) -> ChannelParams:
-    """fixed with the rate named free (any spelling in _FREE_FIELDS) set
-    to value; p under a CSS model sets p_X = p_Z = value."""
-    if free not in _FREE_FIELDS:
-        raise ValidationError(f"unknown free parameter {free!r}")
-    field = _FREE_FIELDS[free]
+    """fixed with the rate named free (a key of RATES) set to value; p
+    under a CSS model sets p_X = p_Z = value."""
+    if free not in RATES:
+        raise ValidationError(f"unknown rate {free!r}, expected one of {', '.join(RATES)}")
+    field = RATES[free]
     if field == "p" and model in ("css", "ft-css"):
         return replace(fixed, p_X=value, p_Z=value)
     return replace(fixed, **{field: value})
@@ -177,6 +178,29 @@ def solve_threshold(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def threshold_curve(
+    code: CodeParams, a: str, b: str, fixed: ChannelParams, model: str, points: int
+) -> list[tuple[float, float]]:
+    """Trade-off curve between rates a and b: at `points` values of a,
+    evenly spaced from 0 to its threshold (just 0 for one point), the
+    threshold of b with the other rates held fixed, or 0.0 where that
+    solve raises ValidationError."""
+    for name in (a, b):
+        with_rate(fixed, name, 0.0, model)  # rejects an unknown name
+    if points < 1:
+        raise ValidationError(f"need at least one curve point, got {points}")
+    a_max = solve_threshold(code, a, fixed, model=model)
+    rows = []
+    for i in range(points):
+        a_val = a_max * i / (points - 1) if points > 1 else 0.0
+        try:
+            b_val = solve_threshold(code, b, with_rate(fixed, a, a_val, model), model=model)
+        except ValidationError:
+            b_val = 0.0
+        rows.append((a_val, b_val))
+    return rows
 
 
 def erasure_tail_bound(n: int, w: int, d: int, y: float) -> float:

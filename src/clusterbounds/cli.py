@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .bounds import (
     MODELS,
+    RATES,
     ChannelParams,
     CodeParams,
     bad_probability_bound_css,
@@ -25,7 +27,7 @@ from .bounds import (
     exact_bad_probability_depol,
     exact_bad_probability_ft,
     solve_threshold,
-    with_rate,
+    threshold_curve,
 )
 from .clusters import DEFAULT_CLUSTER_CAP, brute_force_census, census_bound, enumerate_clusters
 from .codes import ft_extend, hypergraph_product, new_css, new_stabilizer, toric_code
@@ -38,6 +40,7 @@ from .matio import (
     read_matrix,
     write_alist,
     write_csv,
+    write_text,
 )
 
 def _add_code_args(sub: argparse.ArgumentParser) -> None:
@@ -51,9 +54,6 @@ def _add_code_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gz", help="Z-type generator matrix file (css)")
     sub.add_argument("--g", help="symplectic generator matrix file (stabilizer)")
     sub.add_argument("--d", type=int, help="known distance, if any")
-    sub.add_argument(
-        "--format", default="auto", choices=["auto", "alist", "dense"], help="matrix file format"
-    )
 
 
 def _make_code(args):
@@ -61,37 +61,36 @@ def _make_code(args):
         if args.L is None:
             raise ValidationError("toric code needs --L")
         return toric_code(args.L), f"toric(L={args.L})"
+    names = {"hgp": ("h1", "h2"), "css": ("gx", "gz"), "stabilizer": ("g",)}[args.kind]
+    paths = [getattr(args, name) for name in names]
+    if not all(paths):
+        raise ValidationError(f"{args.kind} code needs " + " and ".join(f"--{n}" for n in names))
+    matrices = [read_matrix(path) for path in paths]
     if args.kind == "hgp":
-        if not args.h1 or not args.h2:
-            raise ValidationError("hypergraph product needs --h1 and --h2")
-        h1 = read_matrix(args.h1, args.format)
-        h2 = read_matrix(args.h2, args.format)
-        code = hypergraph_product(h1, h2)
-        return code, f"hgp(h1={os.path.basename(args.h1)},h2={os.path.basename(args.h2)})"
-    if args.kind == "css":
-        if not args.gx or not args.gz:
-            raise ValidationError("css code needs --gx and --gz")
-        gx = read_matrix(args.gx, args.format)
-        gz = read_matrix(args.gz, args.format)
-        code = new_css(gx, gz, d=args.d)
-        return code, f"css(gx={os.path.basename(args.gx)},gz={os.path.basename(args.gz)})"
-    if not args.g:
-        raise ValidationError("stabilizer code needs --g")
-    g = read_matrix(args.g, args.format)
-    code = new_stabilizer(g, d=args.d)
-    return code, f"stabilizer(g={os.path.basename(args.g)})"
+        code = hypergraph_product(*matrices)
+    elif args.kind == "css":
+        code = new_css(*matrices, d=args.d)
+    else:
+        code = new_stabilizer(*matrices, d=args.d)
+    files = ",".join(f"{name}={os.path.basename(path)}" for name, path in zip(names, paths))
+    return code, f"{args.kind}({files})"
+
+
+def _emit(path, text: str) -> None:
+    """Print text that was not written to a file."""
+    if not path:
+        sys.stdout.write(text)
 
 
 def _cmd_build(args) -> int:
     code, desc = _make_code(args)
     print(f"code: {desc}")
+    print(f"n={code.n} k={code.k} d={code.d if code.d is not None else '?'}")
     if hasattr(code, "G_X"):
-        print(f"n={code.n} k={code.k} d={code.d if code.d is not None else '?'}")
         print(f"w_X={code.w_X} w_Z={code.w_Z}")
         print(f"rank(G_X)={code.G_X.rank()} rank(G_Z)={code.G_Z.rank()}")
         print("orthogonality: pass")
     else:
-        print(f"n={code.n} k={code.k} d={code.d if code.d is not None else '?'}")
         print(f"w={code.w} rank(G)={code.G.rank()}")
         print("commutativity: pass")
     return 0
@@ -123,45 +122,43 @@ def _cmd_census(args) -> int:
         "sector": args.sector,
         "m_max": args.m_max,
     }
-    header = ["m", "distinct", "irreducible", "irreducible_nonstabilizer", "paths", "bound"]
-    rows = []
+    fields = census.count_fields()
+    header = ["m", *fields, "bound"]
     oracle = None
     if args.oracle:
         oracle = brute_force_census(target, args.m_max, sector=sector)
         if not census.same_counts(oracle):
             print("oracle mismatch: recursive and brute-force censuses differ", file=sys.stderr)
+            expected = oracle.count_fields()
             for m in census.weights():
-                for field, vals in census.count_fields().items():
-                    if vals[m] != oracle.count_fields()[field][m]:
+                for field, vals in fields.items():
+                    if vals[m] != expected[field][m]:
                         print(
-                            f"  m={m} {field}: recursive={vals[m]}"
-                            f" brute={oracle.count_fields()[field][m]}",
+                            f"  m={m} {field}: recursive={vals[m]} brute={expected[field][m]}",
                             file=sys.stderr,
                         )
             return 1
         config["oracle"] = "pass"
         header += ["distinct_oracle", "paths_oracle"]
-    for row in census.row_dicts():
-        m = row["m"]
-        out = [m, row["distinct"], row["irreducible"], row["irreducible_nonstabilizer"],
-               row["paths"], census_bound(target, sector, m)]
+    rows = []
+    for m in census.weights():
+        if census.distinct[m] == 0:
+            continue
+        row = [m, *(vals[m] for vals in fields.values()), census_bound(target, sector, m)]
         if oracle is not None:
-            out += [oracle.distinct[m], oracle.paths[m]]
-        rows.append(out)
-    text = write_csv(args.output, header, rows, config)
-    if not args.output:
-        sys.stdout.write(text)
+            row += [oracle.distinct[m], oracle.paths[m]]
+        rows.append(row)
+    _emit(args.output, write_csv(args.output, header, rows, config))
     return 0
 
 
-def _channel_from(args) -> ChannelParams:
-    return ChannelParams(y=args.y, p=args.p, p_X=args.pX, p_Z=args.pZ, q=args.q)
-
-
 def _cmd_threshold(args) -> int:
-    D = float("inf") if str(args.D).lower() in ("inf", "infinity") else float(args.D)
+    try:
+        D = float(args.D)
+    except ValueError:
+        raise ValidationError(f"--D must be a number or inf, got {args.D!r}")
     code = CodeParams(w=args.w, w_X=args.wx, w_Z=args.wz, D=D)
-    fixed = _channel_from(args)
+    fixed = ChannelParams(**{field: getattr(args, name) for name, field in RATES.items()})
     config = {
         "command": "threshold",
         "model": args.model,
@@ -175,22 +172,9 @@ def _cmd_threshold(args) -> int:
             a_name, b_name = args.curve.split(":")
         except ValueError:
             raise ValidationError("curve spec must look like y:p")
-        for name in (a_name, b_name):
-            with_rate(fixed, name, 0.0, args.model)  # rejects an unknown name
-        a_max = solve_threshold(code, a_name, fixed, model=args.model)
-        rows = []
-        for i in range(args.points):
-            a = a_max * i / (args.points - 1) if args.points > 1 else 0.0
-            fixed_a = with_rate(fixed, a_name, a, args.model)
-            try:
-                b = solve_threshold(code, b_name, fixed_a, model=args.model)
-            except ValidationError:
-                b = 0.0
-            rows.append([a, b])
+        rows = threshold_curve(code, a_name, b_name, fixed, args.model, args.points)
         config["curve"] = args.curve
-        text = write_csv(args.output, [a_name, b_name], rows, config)
-        if not args.output:
-            sys.stdout.write(text)
+        _emit(args.output, write_csv(args.output, [a_name, b_name], rows, config))
         return 0
     if not args.solve:
         raise ValidationError("need --solve PARAM or --curve A:B")
@@ -198,9 +182,7 @@ def _cmd_threshold(args) -> int:
     print(f"{args.solve} = {value:.9f}")
     if args.output:
         config["solve"] = args.solve
-        payload = {"result": {args.solve: value}}
-        with open(args.output, "w") as fh:
-            fh.write(dump_json(payload, config))
+        write_text(args.output, dump_json({"result": {args.solve: value}}, config))
     return 0
 
 
@@ -213,10 +195,8 @@ def _cmd_ft_extend(args) -> int:
     print(f"max row weight of P: {ft.w}")
     print(f"P Q^T = 0: {'pass' if ok else 'FAIL'}")
     if args.output:
-        with open(args.output + ".p.alist", "w") as fh:
-            fh.write(write_alist(ft.P))
-        with open(args.output + ".q.alist", "w") as fh:
-            fh.write(write_alist(ft.Q))
+        write_text(args.output + ".p.alist", write_alist(ft.P))
+        write_text(args.output + ".q.alist", write_alist(ft.Q))
         print(f"wrote {args.output}.p.alist and {args.output}.q.alist")
     return 0 if ok else 1
 
@@ -230,32 +210,26 @@ def _cmd_badprob(args) -> int:
         "p": args.p,
         "q": args.q,
     }
-    rows = []
-    if args.kind == "css":
-        header = ["m", "exact", "bound"]
-        for m in range(1, args.m_max + 1):
-            rows.append(
-                [m, exact_bad_probability_css(m, args.y, args.p),
-                 bad_probability_bound_css(m, args.y, args.p)]
-            )
-    elif args.kind == "depol":
-        header = ["m", "exact", "bound"]
-        for m in range(1, args.m_max + 1):
-            rows.append(
-                [m, exact_bad_probability_depol(m, args.y, args.p),
-                 bad_probability_bound_depol(m, args.y, args.p)]
-            )
-    else:
+    if args.kind == "ft":
         header = ["m", "m_q", "exact", "bound"]
-        for m in range(1, args.m_max + 1):
-            for m_q in range(m + 1):
-                rows.append(
-                    [m, m_q, exact_bad_probability_ft(m, m_q, args.p, args.q),
-                     bad_probability_bound_ft(m, m_q, args.p, args.q)]
-                )
-    text = write_csv(args.output, header, rows, config)
-    if not args.output:
-        sys.stdout.write(text)
+        rows = [
+            [m, m_q, exact_bad_probability_ft(m, m_q, args.p, args.q),
+             bad_probability_bound_ft(m, m_q, args.p, args.q)]
+            for m in range(1, args.m_max + 1)
+            for m_q in range(m + 1)
+        ]
+    else:
+        # looked up per call, so wrappers installed on these names apply
+        exact, bound = {
+            "css": (exact_bad_probability_css, bad_probability_bound_css),
+            "depol": (exact_bad_probability_depol, bad_probability_bound_depol),
+        }[args.kind]
+        header = ["m", "exact", "bound"]
+        rows = [
+            [m, exact(m, args.y, args.p), bound(m, args.y, args.p)]
+            for m in range(1, args.m_max + 1)
+        ]
+    _emit(args.output, write_csv(args.output, header, rows, config))
     return 0
 
 
@@ -263,9 +237,8 @@ def _cmd_fit(args) -> int:
     fields = read_census_csv(args.census)
     if args.field not in fields:
         raise ValidationError(f"census file has no column {args.field!r}")
-    result = fit_log_growth(
-        fields[args.field], m_range=(args.m_min, args.m_max) if args.m_max else None
-    )
+    counts = fields[args.field]
+    result = fit_log_growth(counts, (args.m_min, args.m_max or max(counts, default=args.m_min)))
     print(f"slope = {format_float(result.slope)}")
     print(f"growth_base = {format_float(result.growth_base)}")
     print(f"intercept = {format_float(result.intercept)}")
@@ -276,17 +249,7 @@ def _cmd_fit(args) -> int:
             "m_min": args.m_min,
             "m_max": args.m_max,
         }
-        payload = {
-            "result": {
-                "intercept": result.intercept,
-                "slope": result.slope,
-                "growth_base": result.growth_base,
-                "rss": result.rss,
-                "weights": list(result.weights),
-            }
-        }
-        with open(args.output, "w") as fh:
-            fh.write(dump_json(payload, config))
+        write_text(args.output, dump_json({"result": asdict(result)}, config))
     return 0
 
 
@@ -329,12 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--wx", type=int)
     t.add_argument("--wz", type=int)
     t.add_argument("--D", default="inf", help="distance growth constant, or 'inf'")
-    t.add_argument("--y", type=float, default=0.0)
-    t.add_argument("--p", type=float, default=0.0)
-    t.add_argument("--pX", type=float, default=0.0)
-    t.add_argument("--pZ", type=float, default=0.0)
-    t.add_argument("--q", type=float, default=0.0)
-    t.add_argument("--solve", choices=["y", "p", "pX", "pZ", "q"])
+    for name in RATES:
+        t.add_argument(f"--{name}", type=float, default=0.0)
+    t.add_argument("--solve", choices=list(RATES))
     t.add_argument("--curve", help="sweep spec A:B, e.g. y:p")
     t.add_argument("--points", type=int, default=21)
     t.add_argument("-o", "--output")

@@ -136,22 +136,6 @@ class ClusterCensus:
         values = self.count_fields()[field]
         return {m: values[m] for m in self.weights()}
 
-    def row_dicts(self) -> list[dict[str, int]]:
-        rows = []
-        for m in self.weights():
-            if self.distinct[m] == 0:
-                continue
-            rows.append(
-                {
-                    "m": m,
-                    "distinct": self.distinct[m],
-                    "irreducible": self.irreducible[m],
-                    "irreducible_nonstabilizer": self.irreducible_nonstabilizer[m],
-                    "paths": self.paths[m],
-                }
-            )
-        return rows
-
     def same_counts(self, other: "ClusterCensus") -> bool:
         return self.count_fields() == other.count_fields()
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .clusters import ClusterCensus
 from .errors import ValidationError
 
 
@@ -26,21 +25,17 @@ class FitResult:
 
 
 def fit_log_growth(
-    counts: "ClusterCensus | Mapping[int, int]",
-    count_field: str = "irreducible",
-    m_range: tuple[int, int] | None = None,
+    counts: Mapping[int, int], m_range: tuple[int, int] | None = None
 ) -> FitResult:
-    """Ordinary least squares of ln(count) against weight.
+    """Ordinary least squares of ln(count) against weight m, over the
+    weights in m_range (inclusive; all of them when None).
 
+    counts maps weight to count, e.g. ClusterCensus.counts("irreducible").
     Weights with zero counts are excluded; at least three nonzero
     points are required.
     """
-    if isinstance(counts, ClusterCensus):
-        table = counts.counts(count_field)
-    else:
-        table = dict(counts)
-    lo, hi = m_range if m_range is not None else (min(table, default=1), max(table, default=1))
-    points = [(m, c) for m, c in sorted(table.items()) if lo <= m <= hi and c > 0]
+    lo, hi = m_range if m_range is not None else (min(counts, default=1), max(counts, default=1))
+    points = [(m, c) for m, c in sorted(counts.items()) if lo <= m <= hi and c > 0]
     if len(points) < 3:
         raise ValidationError(
             f"need at least 3 nonzero counts in [{lo}, {hi}], got {len(points)}"

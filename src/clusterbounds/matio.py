@@ -75,7 +75,7 @@ def parse_dense(text: str) -> BitMatrix:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        bits = ln.replace(" ", "")
+        bits = "".join(ln.split())
         if set(bits) - {"0", "1"}:
             raise ValidationError(f"dense line {lineno}: expected only 0/1 entries")
         if width is None:
@@ -92,23 +92,36 @@ def write_dense(matrix: BitMatrix) -> str:
     return str(matrix) + "\n"
 
 
-def read_matrix(path: str, fmt: str = "auto") -> BitMatrix:
+def _read_text(path: str, kind: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise ValidationError(f"cannot read matrix file {path}: {exc}")
-    if fmt == "alist":
-        return parse_alist(text)
-    if fmt == "dense":
-        return parse_dense(text)
-    if fmt != "auto":
-        raise ValidationError(f"unknown matrix format {fmt!r}")
-    # dense rows are 0/1 digits of one width; no valid alist file is, as
-    # its "n m" header and its n column weights differ in digit count
-    rows = [ln.strip().replace(" ", "") for ln in text.splitlines()]
-    rows = [r for r in rows if r and not r.startswith("#")]
-    if len(set(map(len, rows))) <= 1 and all(set(r) <= {"0", "1"} for r in rows):
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}")
+
+
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+
+
+def read_matrix(path: str) -> BitMatrix:
+    """Read a matrix file as dense when its non-blank, non-'#' lines hold
+    only 0/1 digits and whitespace, and either one digit count or a first
+    line that is not two numbers (so a ragged row is reported as such);
+    otherwise as alist."""
+    text = _read_text(path, "matrix")
+    # no valid alist file passes for dense: its "n m" header and its n
+    # column weights differ in digit count
+    lines = [ln.split() for ln in text.splitlines()]
+    lines = [tokens for tokens in lines if tokens and not tokens[0].startswith("#")]
+    rows = ["".join(tokens) for tokens in lines]
+    if all(set(r) <= {"0", "1"} for r in rows) and (
+        len(set(map(len, rows))) <= 1 or len(lines[0]) != 2
+    ):
         return parse_dense(text)
     return parse_alist(text)
 
@@ -165,19 +178,17 @@ def write_csv(path_or_none, header: list[str], rows: list[list], config: dict) -
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if path_or_none:
-        with open(path_or_none, "w") as fh:
-            fh.write(text)
+        write_text(path_or_none, text)
     return text
 
 
 def read_census_csv(path: str) -> dict[str, dict[int, int]]:
     """Parse a census CSV back into per-field count maps; every cell
     must be an integer, read exactly."""
-    with open(path) as fh:
-        lines = [
-            (i, ln.strip()) for i, ln in enumerate(fh, start=1)
-            if ln.strip() and not ln.startswith("#")
-        ]
+    lines = [
+        (i, ln.strip()) for i, ln in enumerate(_read_text(path, "census").splitlines(), start=1)
+        if ln.strip() and not ln.startswith("#")
+    ]
     if not lines:
         raise ValidationError("census CSV line 1: empty file")
     lineno, head = lines[0]

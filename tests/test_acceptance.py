@@ -199,7 +199,7 @@ def test_criterion_7_irreducibility_dual_test(census_suite):
 def test_criterion_8_growth_fit():
     start = time.monotonic()
     census = enumerate_clusters(toric_code(6), 10, sector="x")
-    fit = fit_log_growth(census, "irreducible", (4, 10))
+    fit = fit_log_growth(census.counts("irreducible"), (4, 10))
     elapsed = time.monotonic() - start
     assert 2.0 <= fit.growth_base <= 3.0, f"growth base {fit.growth_base} outside [2, 3]"
     assert elapsed < 600, f"criterion-8 run took {elapsed:.1f}s"

@@ -23,6 +23,7 @@ from clusterbounds import (
     exact_bad_probability_ft,
     ft_total_bad_bound,
     solve_threshold,
+    threshold_curve,
 )
 
 from oracles import bad_sum_css, bad_sum_depol, bad_sum_ft
@@ -145,6 +146,30 @@ class TestSolveThreshold:
     def test_already_violated(self):
         with pytest.raises(ValidationError):
             solve_threshold(CodeParams(w=4), "pZ", ChannelParams(y=0.9), model="css")
+
+
+class TestThresholdCurve:
+    def test_endpoints_and_spacing(self):
+        y_max = solve_threshold(CodeParams(w=4), "y", model="css")
+        rows = threshold_curve(CodeParams(w=4), "y", "pZ", ChannelParams(), "css", 5)
+        assert [a for a, _ in rows] == [y_max * i / 4 for i in range(5)]
+        assert rows[0][1] == solve_threshold(CodeParams(w=4), "pZ", model="css")
+        assert rows[-1][1] == 0.0  # no flip budget left at the erasure threshold
+
+    def test_one_point_is_a_zero(self):
+        rows = threshold_curve(CodeParams(w=4), "y", "p", ChannelParams(q=0.001), "ft-css", 1)
+        assert rows == [(0.0, solve_threshold(CodeParams(w=4), "p", ChannelParams(q=0.001),
+                                              model="ft-css"))]
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_rejects_no_points(self, points):
+        with pytest.raises(ValidationError, match="curve point"):
+            threshold_curve(CodeParams(w=4), "y", "p", ChannelParams(), "css", points)
+
+    @pytest.mark.parametrize("a, b", [("p_X", "y"), ("y", "p_Z"), ("y", "bogus")])
+    def test_rejects_names_outside_rates(self, a, b):
+        with pytest.raises(ValidationError, match="unknown rate"):
+            threshold_curve(CodeParams(w=4), a, b, ChannelParams(), "css", 3)
 
 
 class TestErasureTail:
@@ -350,3 +375,7 @@ class TestChannelValidation:
     def test_D_positive(self):
         with pytest.raises(ValidationError):
             CodeParams(w=4, D=0.0)
+
+    def test_D_nan_rejected(self):
+        with pytest.raises(ValidationError, match="D must be positive"):
+            CodeParams(w=4, D=math.nan)

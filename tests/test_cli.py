@@ -1,7 +1,8 @@
 import pytest
 
+from clusterbounds import ChannelParams, CodeParams, enumerate_clusters, threshold_curve, toric_code
 from clusterbounds.cli import main
-from clusterbounds.matio import read_matrix, write_csv
+from clusterbounds.matio import read_census_csv, read_matrix, write_csv
 
 
 def run(*argv):
@@ -90,6 +91,26 @@ class TestCensus:
         assert rc == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_csv_has_no_rows_for_weights_without_clusters(self, tmp_path):
+        out = tmp_path / "census.csv"
+        assert run("census", "toric", "--L", "3", "--sector", "x", "--m-max", "6",
+                   "-o", str(out)) == 0
+        census = enumerate_clusters(toric_code(3), 6, sector="x")
+        assert census.distinct[1] == census.distinct[2] == 0
+        lines = out.read_text().splitlines()
+        assert lines[2].split(",") == ["m", *census.count_fields(), "bound"]
+        assert [ln.split(",")[0] for ln in lines[3:]] == ["3", "4", "5", "6"]
+        fields = read_census_csv(str(out))
+        for field, values in census.count_fields().items():
+            assert fields[field] == {m: values[m] for m in range(3, 7)}
+
+    def test_unwritable_output(self, capsys):
+        assert run("census", "toric", "--L", "2", "--sector", "x", "--m-max", "2",
+                   "-o", "/nonexistent/dir/census.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "/nonexistent/dir/census.csv" in err
+
     def test_rounds_required_for_ft(self, capsys):
         rc = run("census", "toric", "--L", "2", "--sector", "ft-x", "--m-max", "2")
         assert rc == 2
@@ -132,14 +153,46 @@ class TestThreshold:
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(0.0, abs=1e-6)
 
-    def test_curve_accepts_underscore_spellings(self, tmp_path):
-        def curve_rows(spec):
-            out = tmp_path / "curve.csv"
-            assert run("threshold", "--model", "css", "--w", "4", "--curve", spec,
-                       "--points", "5", "-o", str(out)) == 0
-            return out.read_text().splitlines()[3:]
+    def test_curve_rejects_underscore_spelling(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run("threshold", "--model", "css", "--w", "4", "--curve", "p_X:y",
+                   "-o", str(out)) == 2
+        assert "p_X" in capsys.readouterr().err
+        assert not out.exists()
 
-        assert curve_rows("p_X:y") == curve_rows("pX:y")
+    def test_curve_csv_equals_threshold_curve(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run("threshold", "--model", "ft-css", "--w", "4", "--q", "0.001",
+                   "--curve", "y:p", "--points", "7", "-o", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[2] == "y,p"
+        rows = [tuple(map(float, ln.split(","))) for ln in lines[3:]]
+        assert rows == threshold_curve(CodeParams(w=4), "y", "p", ChannelParams(q=0.001),
+                                       "ft-css", 7)
+
+    def test_curve_needs_a_point(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run("threshold", "--model", "css", "--w", "4", "--curve", "y:pZ",
+                   "--points", "0", "-o", str(out)) == 2
+        assert not out.exists()
+
+    def test_one_curve_point_is_at_zero(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run("threshold", "--model", "css", "--w", "4", "--curve", "y:pZ",
+                   "--points", "1", "-o", str(out)) == 0
+        [row] = out.read_text().splitlines()[3:]
+        assert row.startswith("0,")
+
+    @pytest.mark.parametrize("D", ["abc", "nan"])
+    def test_bad_distance_constant(self, capsys, D):
+        assert run("threshold", "--model", "css", "--w", "4", "--D", D, "--solve", "y") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("D", ["Infinity", "INF"])
+    def test_infinite_distance_constant(self, capsys, D):
+        assert run("threshold", "--model", "css", "--w", "4", "--D", D, "--solve", "y") == 0
+        assert "y = 0.333333333" in capsys.readouterr().out
 
     def test_curve_rejects_unknown_rate(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -205,6 +258,23 @@ class TestFit:
         out = capsys.readouterr().out
         assert "growth_base = 3" in out
         assert '"growth_base": 3' in (tmp_path / "fit.json").read_text()
+
+    def test_m_min_applies_without_m_max(self, tmp_path, capsys):
+        census = tmp_path / "cx.csv"
+        assert run("census", "toric", "--L", "3", "--sector", "x", "--m-max", "6",
+                   "-o", str(census)) == 0
+        # weights 3-6 hold clusters, so --m-min 5 leaves two points either way
+        assert run("fit", str(census), "--m-min", "5") == 2
+        assert run("fit", str(census), "--m-min", "5", "--m-max", "6") == 2
+        assert "in [5, 6], got 2" in capsys.readouterr().err
+        fit_json = tmp_path / "fit.json"
+        assert run("fit", str(census), "--m-min", "4", "-o", str(fit_json)) == 0
+        assert '"weights": [4, 5, 6]' in fit_json.read_text()
+
+    def test_missing_census_file(self, capsys):
+        assert run("fit", "/nonexistent.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read census file") and len(err.splitlines()) == 1
 
     def test_unknown_field(self, tmp_path, capsys):
         path = tmp_path / "census.csv"

@@ -566,12 +566,6 @@ class TestRandomCodes:
             assert sorted(p for part in parts for p in labelled(part)) == labelled(cluster)
             assert all(is_irreducible_bruteforce(code, part, sector) for part in parts)
 
-    def test_census_row_dicts_skip_empty_weights(self, toric3):
-        census = enumerate_clusters(toric3, 6, sector="x")
-        rows = census.row_dicts()
-        assert rows[0]["m"] == 3
-        assert {r["m"] for r in rows} == {3, 4, 5, 6}
-
 
 def five_qubit_code(y_qubit: bool):
     """The [[5,1,3]] code from XZZXI and its cyclic shifts, optionally

@@ -54,7 +54,7 @@ class TestFitLogGrowth:
 
     def test_census_input(self, toric3):
         census = enumerate_clusters(toric3, 6, sector="x")
-        fit = fit_log_growth(census, "irreducible", (3, 6))
+        fit = fit_log_growth(census.counts("irreducible"), (3, 6))
         assert set(fit.weights) <= {3, 4, 5, 6}
         # the census growth base stays below the counting ceiling's base
         assert 1.0 < fit.growth_base <= toric3.w_Z - 1

@@ -113,6 +113,20 @@ class TestReadMatrix:
         path.write_text(text)
         assert read_matrix(str(path)) == BitMatrix.from_lists(rows)
 
+    def test_tabs_separate_like_spaces(self, tmp_path):
+        spaced, tabbed = tmp_path / "spaced.txt", tmp_path / "tabbed.txt"
+        spaced.write_text("1 0 1\n0 1 1\n")
+        tabbed.write_text("1\t0\t1\n0\t1 \t1\n")
+        assert read_matrix(str(tabbed)) == read_matrix(str(spaced))
+        assert read_matrix(str(tabbed)) == BitMatrix.from_lists([[1, 0, 1], [0, 1, 1]])
+
+    @pytest.mark.parametrize("text", ["101\n11\n", "1 0 1\n1 1\n", "1\t0\t1\n0\t1\n"])
+    def test_ragged_dense_rows_reported(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="dense line 2: ragged row width"):
+            read_matrix(str(path))
+
     def test_auto_detect_reports_alist_errors(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("11 01\n10 1\n")
@@ -169,6 +183,10 @@ class TestTables:
         write_csv(str(path), ["m", "distinct"], [[3, 6], [4, 2.5]], {"command": "census"})
         with pytest.raises(ValidationError, match="line 5"):
             read_census_csv(str(path))
+
+    def test_census_csv_missing_file(self):
+        with pytest.raises(ValidationError, match="cannot read census file"):
+            read_census_csv("/nonexistent/census.csv")
 
 
 class TestRoundTripProperties:
