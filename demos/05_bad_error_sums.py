@@ -14,6 +14,7 @@ from clusterbounds import (
     exact_bad_probability_css,
     exact_bad_probability_depol,
     exact_bad_probability_ft,
+    ft_total_bad_bound,
 )
 
 y, p = 0.05, 0.02
@@ -32,9 +33,16 @@ for m in (2, 4, 6):
     print(f"  m={m}: exact {exact:.3e} <= bound {bound:.3e}")
 print()
 
-print("space-time clusters, p=0.01 qubit flips, q=0.02 syndrome flips")
+p, q, w = 0.001, 0.002, 4
+print(f"space-time clusters, p={p} qubit flips, q={q} syndrome flips")
 m = 6
 for m_q in range(0, m + 1, 2):
-    exact = exact_bad_probability_ft(m, m_q, 0.01, 0.02)
-    bound = bad_probability_bound_ft(m, m_q, 0.01, 0.02)
+    exact = exact_bad_probability_ft(m, m_q, p, q)
+    bound = bad_probability_bound_ft(m, m_q, p, q)
     print(f"  m={m} m_q={m_q}: exact {exact:.3e} <= bound {bound:.3e}")
+# the geometric series over all cluster weights m >= d that the
+# space-time threshold condition keeps finite; it falls as d grows
+print(f"  total over m >= d, n * sum base^m, check weight w={w}:")
+for L in (3, 7, 11, 15):
+    n = 2 * L * L
+    print(f"    toric L={L} (n={n}, d={L}): {ft_total_bad_bound(n, w, L, p, q):.3e}")

@@ -8,7 +8,14 @@ original check weight, and the degeneracy matrix Q spans everything a
 decoder may safely ignore.
 """
 
-from clusterbounds import brute_force_census, enumerate_clusters, ft_extend, toric_code
+from clusterbounds import (
+    brute_force_census,
+    census_bound,
+    cluster_count_bound_ft,
+    enumerate_clusters,
+    ft_extend,
+    toric_code,
+)
 
 code = toric_code(2)
 for m in (1, 2, 3):
@@ -33,3 +40,14 @@ print("  distinct               :", census.distinct[1:])
 print("  irreducible            :", census.irreducible[1:])
 print("  outside degeneracy group:", census.irreducible_nonstabilizer[1:])
 print("  matches exhaustive scan:", census.same_counts(oracle))
+print()
+
+# cluster_count_bound_ft splits the space-time ceiling by m_q; the
+# parts add up to the census's bound column
+print("recursion paths against the ceiling, split by m_q = 0..m:")
+for m in census.weights():
+    split = [cluster_count_bound_ft(ft.n, ft.r, code.w_Z, m, m_q) for m_q in range(m + 1)]
+    print(
+        f"  m={m}: paths {census.paths[m]:>3} <= {census_bound(ft, 'ft', m):>4}"
+        f" = {' + '.join(map(str, split))}"
+    )

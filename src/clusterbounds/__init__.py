@@ -35,7 +35,6 @@ from .codes import (
     new_css,
     new_stabilizer,
     repetition_transpose,
-    symplectic_product,
     toric_code,
 )
 from .clusters import (
@@ -121,7 +120,6 @@ __all__ = [
     "new_stabilizer",
     "repetition_transpose",
     "solve_threshold",
-    "symplectic_product",
     "threshold_curve",
     "toric_code",
     "vstack",

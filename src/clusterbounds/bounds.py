@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb, fsum, inf, sqrt
 
 from .errors import ValidationError
@@ -102,29 +101,26 @@ def effective_erasure_css(y: float, p: float) -> float:
 def condition_lhs(code: CodeParams, ch: ChannelParams, model: str) -> float:
     """Left-hand side of the decodability condition for one model.
 
-    For the two CSS models the larger of the two sector expressions is
-    returned, so "lhs <= exp(-1/D)" is the full condition in all cases.
+    One formula covers all four: syn + 2(w - shift) * effective_erasure,
+    with syn = 4 sqrt(q(1-q)) and shift = 0 for the faulty-measurement
+    models, syn = 0 and shift = 1 otherwise.  The CSS models take the
+    larger of the sector terms (w_X - shift) * effective_erasure_css(y,
+    p_Z) and (w_Z - shift) * effective_erasure_css(y, p_X) in place of
+    the last term, so "lhs <= exp(-1/D)" is the full condition.
     """
-    if model == "stabilizer":
-        w = code.weight()
-        return 2.0 * (w - 1) * effective_erasure(ch.y, ch.p)
-    if model == "css":
+    if model not in MODELS:
+        raise ValidationError(f"unknown model {model!r}, expected one of {MODELS}")
+    ft = model.startswith("ft-")
+    # -0.0 is the exact additive identity, so syn + x is x to the last bit
+    syn = 4.0 * sqrt(ch.q * (1.0 - ch.q)) if ft else -0.0
+    shift = 0 if ft else 1
+    if model.endswith("css"):
         wx, wz = code.weights_xz()
-        return max(
-            (wx - 1) * effective_erasure_css(ch.y, ch.p_Z),
-            (wz - 1) * effective_erasure_css(ch.y, ch.p_X),
+        return syn + max(
+            (wx - shift) * effective_erasure_css(ch.y, ch.p_Z),
+            (wz - shift) * effective_erasure_css(ch.y, ch.p_X),
         )
-    if model == "ft-stabilizer":
-        w = code.weight()
-        return 4.0 * sqrt(ch.q * (1.0 - ch.q)) + 2.0 * w * effective_erasure(ch.y, ch.p)
-    if model == "ft-css":
-        wx, wz = code.weights_xz()
-        syn = 4.0 * sqrt(ch.q * (1.0 - ch.q))
-        return max(
-            syn + wx * effective_erasure_css(ch.y, ch.p_Z),
-            syn + wz * effective_erasure_css(ch.y, ch.p_X),
-        )
-    raise ValidationError(f"unknown model {model!r}, expected one of {MODELS}")
+    return syn + 2.0 * (code.weight() - shift) * effective_erasure(ch.y, ch.p)
 
 
 def condition_holds(code: CodeParams, ch: ChannelParams, model: str) -> bool:
@@ -147,6 +143,15 @@ def with_rate(fixed: ChannelParams, free: str, value: float, model: str) -> Chan
     return replace(fixed, **{field: value})
 
 
+def _bracket_top(free: str) -> float:
+    """Top of a rate's search bracket: 1 for erasures, 1/2 for flips."""
+    return 1.0 if free == "y" else 0.5
+
+
+class _HoldsEverywhere(ValidationError):
+    """The condition holds on the free rate's whole search bracket."""
+
+
 def solve_threshold(
     code: CodeParams,
     free: str,
@@ -166,11 +171,11 @@ def solve_threshold(
     def lhs_at(t: float) -> float:
         return condition_lhs(code, with_rate(fixed, free, t, model), model)
 
-    lo, hi = 0.0, 1.0 if free == "y" else 0.5
+    lo, hi = 0.0, _bracket_top(free)
     if lhs_at(lo) > rhs:
         raise ValidationError("condition already violated at rate 0")
     if lhs_at(hi) <= rhs:
-        raise ValidationError("no sign change on the bracket; condition holds everywhere")
+        raise _HoldsEverywhere("no sign change on the bracket; condition holds everywhere")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if lhs_at(mid) <= rhs:
@@ -185,8 +190,10 @@ def threshold_curve(
 ) -> list[tuple[float, float]]:
     """Trade-off curve between rates a and b: at `points` values of a,
     evenly spaced from 0 to its threshold (just 0 for one point), the
-    threshold of b with the other rates held fixed, or 0.0 where that
-    solve raises ValidationError."""
+    threshold of b with the other rates held fixed.  Where the
+    condition holds for every b on its bracket, b is the bracket's top
+    (1.0 for y, 0.5 otherwise); where it fails already at b = 0, b is
+    0.0."""
     for name in (a, b):
         with_rate(fixed, name, 0.0, model)  # rejects an unknown name
     if points < 1:
@@ -197,6 +204,8 @@ def threshold_curve(
         a_val = a_max * i / (points - 1) if points > 1 else 0.0
         try:
             b_val = solve_threshold(code, b, with_rate(fixed, a, a_val, model), model=model)
+        except _HoldsEverywhere:
+            b_val = _bracket_top(b)
         except ValidationError:
             b_val = 0.0
         rows.append((a_val, b_val))
@@ -215,33 +224,70 @@ def erasure_tail_bound(n: int, w: int, d: int, y: float) -> float:
 
 # -- exact bad-error sums -------------------------------------------------
 #
-# Region membership uses exact rational arithmetic on the given float
-# rates.  Near-tie cases (for instance rate pairs whose odds ratios are
-# exact powers of each other) would otherwise flip with the rounding of
-# a log-ratio and disagree with a literal probability comparison.
+# All three sums walk one engine, _bad_sum, over groups of positions.
+# Region membership is decided exactly in integers: each float rate is
+# the ratio N/D of two integers, so a product of odds powers compares
+# two integer products.  A log-ratio test would flip near ties (for
+# instance rate pairs whose odds are exact powers of each other) with
+# rounding, and disagree with a literal probability comparison.
 
 
-def _region_bad(*terms: tuple[int, float, int]) -> bool:
-    """Whether the product over (k, rate, scale) terms of
-    (scale*(1-rate)/rate)**k is at least 1, reading each ratio as its
-    limit at rate 0 or 1; ties count as bad.  The exponents of those
-    limits decide before the finite ratios do, so callers must drop
-    zero-probability configurations first."""
+def _region_bad(terms: tuple[tuple[int, int, int], ...]) -> bool:
+    """Whether the product over (k, up, down) terms of (up/down)**k is
+    at least 1; ties count as bad.  A zero down (rate 0) or zero up
+    (rate 1) stands for the odds' limit, infinity or 0, and the
+    exponents of those limits decide before the finite odds do, so
+    callers must drop zero-probability configurations first."""
     score = 0
-    acc = Fraction(1)
-    for k, rate, scale in terms:
-        if k == 0:
-            continue
-        if rate == 0.0:
+    lhs = rhs = 1
+    for k, up, down in terms:
+        if not down:
             score += k
-        elif rate == 1.0:
+        elif not up:
             score -= k
+        elif k > 0:
+            lhs *= up**k
+            rhs *= down**k
         else:
-            fr = Fraction(rate)
-            acc *= (scale * (1 - fr) / fr) ** k
+            lhs *= down**-k
+            rhs *= up**-k
     if score:
         return score > 0
-    return acc >= 1
+    return lhs >= rhs
+
+
+def _bad_sum(y: float, *groups: tuple[int, float, float, float, float, int]) -> float:
+    """Probability that an error on the cluster's positions is bad.
+
+    Each group is (size, match, other, clean, odds rate, odds scale): a
+    position is erased at rate y, else it carries the cluster's own
+    entry (match), another non-identity entry (other) or none (clean).
+    With a erasures, b1 matching and b - b1 other flips, a group raises
+    its odds scale*(1-rate)/rate to b1 - (size - a - b); a configuration
+    is bad when the product over its groups is at least 1.  Each term
+    multiplies its factors in one fixed left-to-right order, which
+    keeps every sum the same to the last bit."""
+    partial = [(1.0, ())]
+    for size, match, other, clean, rate, scale in groups:
+        num, den = rate.as_integer_ratio()
+        up, down = scale * (den - num), num
+        grown = []
+        for t0, terms in partial:
+            # zero rates leave only a = 0 (no erasures) or b1 = b (no
+            # other flips) with nonzero terms
+            for a in range(size + 1 if y else 1):
+                n = size - a
+                ta = t0 * comb(size, a) * y**a * (1.0 - y) ** n
+                if not ta:
+                    continue
+                for b in range(n + 1):
+                    tb = ta * comb(n, b)
+                    for b1 in range(0 if other else b, b + 1):
+                        t = tb * comb(b, b1) * match**b1 * other ** (b - b1) * clean ** (n - b)
+                        if t:
+                            grown.append((t, (*terms, (b1 - n + b, up, down))))
+        partial = grown
+    return fsum(t for t, terms in partial if _region_bad(terms))
 
 
 def exact_bad_probability_css(m: int, y: float, p: float) -> float:
@@ -254,16 +300,8 @@ def exact_bad_probability_css(m: int, y: float, p: float) -> float:
     """
     if m < 1:
         raise ValidationError("m must be at least 1")
-    _check_unit("y", y)
-    _check_unit("p", p)
-    bad = {k: _region_bad((k, p, 1)) for k in range(-m, m + 1)}
-    terms = []
-    for a in range(m + 1):
-        pa = comb(m, a) * y**a * (1.0 - y) ** (m - a)
-        for b in range(m - a + 1):
-            if bad[2 * b + a - m]:
-                terms.append(pa * comb(m - a, b) * p**b * (1.0 - p) ** (m - a - b))
-    return fsum(terms)
+    y, p = _check_unit("y", y), _check_unit("p", p)
+    return _bad_sum(y, (m, p, 0.0, 1.0 - p, p, 1))
 
 
 def exact_bad_probability_depol(m: int, y: float, p: float) -> float:
@@ -276,25 +314,8 @@ def exact_bad_probability_depol(m: int, y: float, p: float) -> float:
     """
     if m < 1:
         raise ValidationError("m must be at least 1")
-    _check_unit("y", y)
-    _check_unit("p", p)
-    bad = {k: _region_bad((k, p, 3)) for k in range(-m, m + 1)}
-    terms = []
-    for a in range(m + 1):
-        pa = comb(m, a) * y**a * (1.0 - y) ** (m - a)
-        for b1 in range(m - a + 1):
-            for b2 in range(m - a - b1 + 1):
-                if bad[2 * b1 + b2 + a - m]:
-                    b = b1 + b2
-                    terms.append(
-                        pa
-                        * comb(m - a, b)
-                        * comb(b, b1)
-                        * (p / 3.0) ** b1
-                        * (2.0 * p / 3.0) ** b2
-                        * (1.0 - p) ** (m - a - b)
-                    )
-    return fsum(terms)
+    y, p = _check_unit("y", y), _check_unit("p", p)
+    return _bad_sum(y, (m, p / 3.0, 2.0 * p / 3.0, 1.0 - p, p, 3))
 
 
 def exact_bad_probability_ft(m: int, m_q: int, p: float, q: float) -> float:
@@ -311,18 +332,8 @@ def exact_bad_probability_ft(m: int, m_q: int, p: float, q: float) -> float:
         raise ValidationError("m must be at least 1")
     if not 0 <= m_q <= m:
         raise ValidationError("need 0 <= m_q <= m")
-    _check_unit("p", p)
-    _check_unit("q", q)
-    terms = []
-    for b in range(m_q + 1):
-        pb = comb(m_q, b) * p**b * (1.0 - p) ** (m_q - b)
-        for f in range(m - m_q + 1):
-            t = pb * comb(m - m_q, f) * q**f * (1.0 - q) ** (m - m_q - f)
-            if t == 0.0:
-                continue
-            if _region_bad((2 * b - m_q, p, 1), (2 * f + m_q - m, q, 1)):
-                terms.append(t)
-    return fsum(terms)
+    p, q = _check_unit("p", p), _check_unit("q", q)
+    return _bad_sum(0.0, (m_q, p, 0.0, 1.0 - p, p, 1), (m - m_q, q, 0.0, 1.0 - q, q, 1))
 
 
 def bad_probability_bound_css(m: int, y: float, p: float) -> float:

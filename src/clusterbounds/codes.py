@@ -40,10 +40,6 @@ class PauliOp:
             raise ValidationError("X and Z parts must have equal length")
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOp":
-        return cls(BitVector(n), BitVector(n))
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliOp":
         """Build from a string like 'XIZY'."""
         n = len(label)
@@ -95,13 +91,6 @@ class PauliOp:
         return self.v.concat(self.u)
 
 
-def symplectic_product(e1: PauliOp, e2: PauliOp) -> int:
-    """0 when the operators commute, 1 when they anticommute."""
-    if e1.n != e2.n:
-        raise ValidationError("operators act on different qubit counts")
-    return e1.v.dot(e2.u) ^ e1.u.dot(e2.v)
-
-
 def _pauli_row_weight(row: int, n: int) -> int:
     vbits = row & ((1 << n) - 1)
     ubits = row >> n
@@ -127,10 +116,6 @@ class StabilizerCode:
     def r(self) -> int:
         """Number of independent generators, n - k."""
         return self.n - self.k
-
-    @property
-    def num_generators(self) -> int:
-        return self.G.nrows
 
     def generator(self, i: int) -> PauliOp:
         return PauliOp.from_binary(self.G.row(i))

@@ -150,15 +150,6 @@ class BitMatrix:
             rows.append(sum((1 << j) for j, x in enumerate(r) if int(x) & 1))
         return cls(tuple(rows), ncols)
 
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[BitVector]) -> "BitMatrix":
-        if not vectors:
-            return cls((), 0)
-        n = vectors[0].n
-        for v in vectors:
-            _require_same_len(v.n, n)
-        return cls(tuple(v.bits for v in vectors), n)
-
     # -- shape and access --------------------------------------------
 
     @property
@@ -172,9 +163,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.rows[i])
 
-    def row_weight(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def max_row_weight(self) -> int:
         return max((r.bit_count() for r in self.rows), default=0)
 
@@ -183,9 +171,6 @@ class BitMatrix:
 
     def __iter__(self) -> Iterator[BitVector]:
         return (self.row(i) for i in range(len(self.rows)))
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
 
     def __str__(self) -> str:
         return "\n".join(self.row(i).to01() for i in range(len(self.rows)))

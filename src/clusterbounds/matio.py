@@ -88,10 +88,6 @@ def parse_dense(text: str) -> BitMatrix:
     return BitMatrix(tuple(rows), width)
 
 
-def write_dense(matrix: BitMatrix) -> str:
-    return str(matrix) + "\n"
-
-
 def _read_text(path: str, kind: str) -> str:
     try:
         with open(path) as fh:

@@ -290,6 +290,26 @@ class TestExactFt:
             exact_bad_probability_ft(2, 3, 0.1, 0.1)
 
 
+# (m, m_q, y, p, q, css, depol, ft): float.hex of the three sums at
+# rates 0, 1, 1/2, the tie pair 1/4, 3/4 and non-dyadic rates
+_EXACT_SUM_BITS = [
+    (5, 2, 0.0, 0.1, 0.25, "0x1.187e7c06e19bap-7", "0x1.43e4bad062e30p-9", "0x1.3851eb851eb86p-5"),
+    (6, 3, 0.1, 0.25, 0.75, "0x1.3e0e02d9cf13ep-3", "0x1.064c9c4da9004p-5", "0x1.5b00000000000p-3"),
+    (4, 1, 0.5, 0.75, 0.1, "0x1.60c0000000000p-2", "0x1.0000000000000p+0", "0x1.cac083126e97cp-6"),
+    (7, 7, 1.0, 0.5, 0.0, "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (3, 0, 0.25, 0.0, 1.0, "0x1.0000000000000p-6", "0x1.0000000000000p-6", "0x0.0p+0"),
+    (8, 4, 0.75, 1.0, 0.5, "0x1.9a10000000000p-4", "0x1.fe7eb6873ce86p-2", "0x0.0p+0"),
+    (12, 5, 0.1, 0.1, 0.3, "0x1.b98709a71ad11p-11", "0x1.59a9d4ac24f3dp-16", "0x1.6311c3ddf6fcdp-8"),
+]
+
+
+@pytest.mark.parametrize("m, m_q, y, p, q, css, depol, ft", _EXACT_SUM_BITS)
+def test_exact_sums_to_the_last_bit(m, m_q, y, p, q, css, depol, ft):
+    assert exact_bad_probability_css(m, y, p).hex() == css
+    assert exact_bad_probability_depol(m, y, p).hex() == depol
+    assert exact_bad_probability_ft(m, m_q, p, q).hex() == ft
+
+
 class TestDomination:
     def test_css_and_depol_grid(self):
         for m in range(1, 13):

@@ -183,6 +183,16 @@ class TestThreshold:
         [row] = out.read_text().splitlines()[3:]
         assert row.startswith("0,")
 
+    def test_curve_unconstrained_rate_is_at_its_bracket_top(self, tmp_path):
+        # w_Z = 1 leaves p_X out of the condition until y passes 1/3,
+        # where the last row fails already at p_X = 0
+        out = tmp_path / "curve.csv"
+        assert run("threshold", "--model", "css", "--wx", "4", "--wz", "1",
+                   "--curve", "y:pX", "--points", "3", "-o", str(out)) == 0
+        assert out.read_text().splitlines()[3:] == [
+            "0,0.5", "0.16666666674427688,0.5", "0.33333333348855376,0",
+        ]
+
     @pytest.mark.parametrize("D", ["abc", "nan"])
     def test_bad_distance_constant(self, capsys, D):
         assert run("threshold", "--model", "css", "--w", "4", "--D", D, "--solve", "y") == 2

@@ -73,7 +73,7 @@ def assert_sound_census(code, census, sector):
         stab = code.stabilizer if hasattr(code, "stabilizer") else code
         for group in census.clusters:
             for cl in group:
-                op = PauliOp.identity(stab.n)
+                op = PauliOp.from_label("I" * stab.n)
                 for j, ch in zip(cl.positions, cl.paulis):
                     op = op * PauliOp.single(stab.n, j, ch)
                 assert not stab.syndrome(op)

@@ -25,7 +25,7 @@ def random_bitmatrix(rng, rows, cols):
 
 
 def naive_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    al, bl = a.to_lists(), b.to_lists()
+    al, bl = ([[(r >> j) & 1 for j in range(m.cols)] for r in m.rows] for m in (a, b))
     out = [
         [sum(al[i][k] * bl[k][j] for k in range(a.cols)) % 2 for j in range(b.cols)]
         for i in range(a.nrows)
