@@ -42,8 +42,9 @@ print("  outside degeneracy group:", census.irreducible_nonstabilizer[1:])
 print("  matches exhaustive scan:", census.same_counts(oracle))
 print()
 
-# cluster_count_bound_ft splits the space-time ceiling by m_q; the
-# parts add up to the census's bound column
+# cluster_count_bound_ft splits the space-time ceiling by m_q, the number
+# of qubit steps among a path's m - 1 continuations; the parts add up to
+# the census's bound column
 print("recursion paths against the ceiling, split by m_q = 0..m:")
 for m in census.weights():
     split = [cluster_count_bound_ft(ft.n, ft.r, code.w_Z, m, m_q) for m_q in range(m + 1)]

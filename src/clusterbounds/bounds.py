@@ -50,7 +50,7 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Weight caps and the distance growth constant D.
+    """Weight caps, each at least 1, and the distance growth constant D.
 
     D is the coefficient in d >= D * ln(n); D = inf encodes
     super-logarithmic distance scaling and makes the right-hand side of
@@ -63,6 +63,10 @@ class CodeParams:
     D: float = inf
 
     def __post_init__(self) -> None:
+        for name in ("w", "w_X", "w_Z"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValidationError(f"{name} must be at least 1, got {value}")
         if not self.D > 0:  # NaN fails this too
             raise ValidationError(f"D must be positive (or inf), got {self.D}")
 

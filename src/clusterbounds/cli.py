@@ -202,6 +202,8 @@ def _cmd_ft_extend(args) -> int:
 
 
 def _cmd_badprob(args) -> int:
+    if args.m_max < 1:
+        raise ValidationError("m_max must be at least 1")
     config = {
         "command": "badprob",
         "kind": args.kind,

@@ -503,6 +503,8 @@ def enumerate_clusters(
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
+    if workers < 1:
+        raise ValidationError("workers must be at least 1")
     problem = _build_problem(code, sector)
     limit = min(_FRONTIER_BUDGET, max_stored)
     starts = _frontier(problem.branches, problem.syn, m_max, limit).items()
@@ -712,7 +714,12 @@ def cluster_count_bound_css(n: int, w_opposite: int, m: int) -> int:
 
 
 def cluster_count_bound_ft(n: int, r: int, w: int, m: int, m_q: int) -> int:
-    """Space-time ceiling for clusters with m_q qubit entries out of m."""
+    """Space-time ceiling on weight-m recursion paths whose m - 1
+    continuations are m_q qubit steps (w choices each) and m - 1 - m_q
+    syndrome steps (2 each).  Summed over m_q it is
+    cluster_count_bound_ft_total; it is 0 at m_q = m, so it does not
+    bound clusters by qubit entries (toric L=2 over 2 rounds has 38
+    all-qubit clusters of weight 4)."""
     if m < 1:
         raise ValidationError("m must be at least 1")
     if not 0 <= m_q <= m:

@@ -1,8 +1,9 @@
 """Stabilizer and CSS codes in binary symplectic form.
 
 A Pauli operator maps, up to phase, to a pair of length-n bit vectors
-(v, u) with X-part v and Z-part u.  A code is stored through its
-generator matrix G = (A_X | A_Z) and check matrix H = (A_Z | A_X); the
+(v, u) with X-part v and Z-part u.  A code stores only its generator
+matrices and a known distance; n, k, the weight caps and the check
+matrix H = (A_Z | A_X) of G = (A_X | A_Z) are computed from them.  The
 syndrome of an error is H times its binary form, and two operators
 commute exactly when their symplectic product vanishes.
 
@@ -14,7 +15,7 @@ repeated noisy syndrome measurement rounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import CommutativityError, ValidationError
@@ -91,31 +92,37 @@ class PauliOp:
         return self.v.concat(self.u)
 
 
-def _pauli_row_weight(row: int, n: int) -> int:
-    vbits = row & ((1 << n) - 1)
-    ubits = row >> n
-    return (vbits | ubits).bit_count()
-
-
 @dataclass(frozen=True)
 class StabilizerCode:
     """Stabilizer code given by generator rows over 2n binary columns.
 
     The generator matrix may contain dependent rows; k is always
-    computed from the rank.  w is the largest Pauli weight of a row.
+    computed from the rank.
     """
 
     G: BitMatrix
-    H: BitMatrix
-    n: int
-    k: int
-    w: int
     d: int | None = None
 
     @property
-    def r(self) -> int:
-        """Number of independent generators, n - k."""
-        return self.n - self.k
+    def n(self) -> int:
+        return self.G.cols // 2
+
+    @property
+    def w(self) -> int:
+        """Largest Pauli weight of a generator row."""
+        n = self.n
+        return max(((row & ((1 << n) - 1)) | (row >> n)).bit_count() for row in self.G.rows)
+
+    @cached_property
+    def k(self) -> int:
+        return self.n - self.G.rank()
+
+    @cached_property
+    def H(self) -> BitMatrix:
+        """Check matrix: G with its X and Z halves swapped."""
+        n = self.n
+        mask = (1 << n) - 1
+        return BitMatrix(tuple((row >> n) | ((row & mask) << n) for row in self.G.rows), 2 * n)
 
     def generator(self, i: int) -> PauliOp:
         return PauliOp.from_binary(self.G.row(i))
@@ -137,7 +144,7 @@ def new_stabilizer(G: BitMatrix, d: int | None = None) -> StabilizerCode:
     """Validate a generator matrix and build the code.
 
     Rejects zero rows and any anticommuting row pair (reported by
-    index).  The check matrix is G with the X and Z blocks swapped.
+    index).
     """
     if G.cols % 2:
         raise ValidationError("generator matrix must have 2n columns")
@@ -151,10 +158,7 @@ def new_stabilizer(G: BitMatrix, d: int | None = None) -> StabilizerCode:
         sp = ((ri & mask) & (rj >> n)).bit_count() + ((ri >> n) & (rj & mask)).bit_count()
         if sp & 1:
             raise CommutativityError(i, j)
-    H = BitMatrix(tuple(((row >> n) | ((row & mask) << n)) for row in G.rows), 2 * n)
-    k = n - G.rank()
-    w = max(_pauli_row_weight(row, n) for row in G.rows)
-    return StabilizerCode(G=G, H=H, n=n, k=k, w=w, d=d)
+    return StabilizerCode(G, d)
 
 
 @dataclass(frozen=True)
@@ -163,20 +167,30 @@ class CssCode:
 
     G_X: BitMatrix
     G_Z: BitMatrix
-    n: int
-    k: int
-    w_X: int
-    w_Z: int
     d: int | None = None
+
+    @property
+    def n(self) -> int:
+        return self.G_X.cols
+
+    @property
+    def w_X(self) -> int:
+        return self.G_X.max_row_weight()
+
+    @property
+    def w_Z(self) -> int:
+        return self.G_Z.max_row_weight()
+
+    @cached_property
+    def k(self) -> int:
+        return self.n - self.G_X.rank() - self.G_Z.rank()
 
     @cached_property
     def stabilizer(self) -> StabilizerCode:
-        """Block-diagonal symplectic view of the same code."""
-        n = self.n
-        x_rows = tuple(r for r in self.G_X.rows)
-        z_rows = tuple(r << n for r in self.G_Z.rows)
-        G = BitMatrix(x_rows + z_rows, 2 * n)
-        return new_stabilizer(G, d=self.d)
+        """Block-diagonal symplectic view of the same code; its rows
+        commute because new_css checked the two sectors orthogonal."""
+        G = BitMatrix((*self.G_X.rows, *(r << self.n for r in self.G_Z.rows)), 2 * self.n)
+        return StabilizerCode(G, self.d)
 
     def sector(self, errors: str) -> tuple[BitMatrix, BitMatrix]:
         """(checks, degeneracy) pair for one error type.
@@ -195,7 +209,6 @@ def new_css(G_X: BitMatrix, G_Z: BitMatrix, d: int | None = None) -> CssCode:
     """Validate orthogonality of the two sectors and build the code."""
     if G_X.cols != G_Z.cols:
         raise ValidationError("G_X and G_Z must have the same number of columns")
-    n = G_X.cols
     for name, M in (("G_X", G_X), ("G_Z", G_Z)):
         for i, row in enumerate(M.rows):
             if row == 0:
@@ -204,16 +217,7 @@ def new_css(G_X: BitMatrix, G_Z: BitMatrix, d: int | None = None) -> CssCode:
         for j, rz in enumerate(G_Z.rows):
             if (rx & rz).bit_count() & 1:
                 raise CommutativityError(i, j)
-    k = n - G_X.rank() - G_Z.rank()
-    return CssCode(
-        G_X=G_X,
-        G_Z=G_Z,
-        n=n,
-        k=k,
-        w_X=G_X.max_row_weight(),
-        w_Z=G_Z.max_row_weight(),
-        d=d,
-    )
+    return CssCode(G_X, G_Z, d)
 
 
 def toric_code(L: int) -> CssCode:
@@ -222,27 +226,15 @@ def toric_code(L: int) -> CssCode:
     Qubits sit on bonds.  Horizontal bonds are indexed row-major as
     r*L + c for 0 <= r, c < L; vertical bonds follow at L^2 + r*L + c.
     The X-type generators are the four bonds around each plaquette, the
-    Z-type generators the four bonds meeting at each lattice site.
+    Z-type generators the four bonds meeting at each lattice site, both
+    in row-major order.  The code is the hypergraph product of the
+    L-cycle check matrix (row i = bits i and i+1 mod L) with its
+    transpose.
     """
     if L < 2:
         raise ValidationError("toric code needs L >= 2")
-    n = 2 * L * L
-
-    def hbond(r: int, c: int) -> int:
-        return (r % L) * L + (c % L)
-
-    def vbond(r: int, c: int) -> int:
-        return L * L + (r % L) * L + (c % L)
-
-    x_rows = []
-    z_rows = []
-    for r in range(L):
-        for c in range(L):
-            plaq = (hbond(r, c), hbond(r + 1, c), vbond(r, c), vbond(r, c + 1))
-            site = (hbond(r, c), hbond(r, c - 1), vbond(r, c), vbond(r - 1, c))
-            x_rows.append(sum(1 << j for j in plaq))
-            z_rows.append(sum(1 << j for j in site))
-    return new_css(BitMatrix(tuple(x_rows), n), BitMatrix(tuple(z_rows), n), d=L)
+    cycle = BitMatrix(tuple((1 << i) | (1 << (i + 1) % L) for i in range(L)), L)
+    return replace(hypergraph_product(cycle, cycle.transpose()), d=L)
 
 
 def hypergraph_product(H1: BitMatrix, H2: BitMatrix) -> CssCode:
@@ -264,18 +256,11 @@ def hypergraph_product(H1: BitMatrix, H2: BitMatrix) -> CssCode:
 
 
 def repetition_transpose(m: int) -> BitMatrix:
-    """The m x (m-1) bidiagonal matrix coupling consecutive rounds."""
+    """The m x (m-1) bidiagonal matrix coupling consecutive rounds: the
+    transpose of the repetition code's checks, row i = bits i and i+1."""
     if m < 2:
         raise ValidationError("need m >= 2")
-    rows = []
-    for i in range(m):
-        bits = 0
-        if i - 1 >= 0:
-            bits |= 1 << (i - 1)
-        if i <= m - 2:
-            bits |= 1 << i
-        rows.append(bits)
-    return BitMatrix(tuple(rows), m - 1)
+    return BitMatrix(tuple(3 << i for i in range(m - 1)), m).transpose()
 
 
 @dataclass(frozen=True)
@@ -294,10 +279,20 @@ class FtCode:
     Q: BitMatrix
     n: int
     r: int
-    N: int
-    K: int
-    w: int
     D_ft: int | None = None
+
+    @property
+    def N(self) -> int:
+        return self.P.cols
+
+    @property
+    def w(self) -> int:
+        """Largest row weight of P."""
+        return self.P.max_row_weight()
+
+    @cached_property
+    def K(self) -> int:
+        return self.N - self.P.rank() - self.Q.rank()
 
     @property
     def qubit_cols(self) -> int:
@@ -328,19 +323,7 @@ def ft_extend_matrices(H: BitMatrix, G: BitMatrix, m: int, d: int | None = None)
         )
         bottom = hstack(im.kron(G), BitMatrix.zeros(m * G.nrows, (m - 1) * r))
         Q = vstack(top, bottom)
-    N = m * n + (m - 1) * r
-    K = N - P.rank() - Q.rank()
-    return FtCode(
-        m=m,
-        P=P,
-        Q=Q,
-        n=n,
-        r=r,
-        N=N,
-        K=K,
-        w=P.max_row_weight(),
-        D_ft=None if d is None else min(d, m),
-    )
+    return FtCode(m, P, Q, n, r, None if d is None else min(d, m))
 
 
 def ft_extend(code: CssCode, m: int, errors: str = "x") -> FtCode:

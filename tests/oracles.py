@@ -3,7 +3,9 @@
 zero_sum_choices_literal scans every choice of groups and entries
 outright, for checking gf2.zero_sum_choices.  subset_xors lists the XOR
 of every subset of a word list outright, for checking the echelon,
-residue and kernel routines of gf2.
+residue and kernel routines of gf2.  toric_rows_literal lays out the
+toric code's plaquette and site rows bond by bond, for checking that the
+hypergraph-product construction keeps the lattice's check order.
 
 Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
@@ -104,3 +106,25 @@ def subset_xors(words) -> dict[int, list[int]]:
                 acc ^= w
         out.setdefault(acc, []).append(mask)
     return out
+
+
+def toric_rows_literal(L: int) -> tuple[list[int], list[int]]:
+    """(plaquette rows, site rows) of the L x L toric code, row-major
+    over the lattice: horizontal bond (r, c) is bit r*L + c, vertical
+    bond (r, c) is bit L^2 + r*L + c."""
+
+    def hbond(r: int, c: int) -> int:
+        return (r % L) * L + (c % L)
+
+    def vbond(r: int, c: int) -> int:
+        return L * L + (r % L) * L + (c % L)
+
+    plaquettes = []
+    sites = []
+    for r in range(L):
+        for c in range(L):
+            plaq = (hbond(r, c), hbond(r + 1, c), vbond(r, c), vbond(r, c + 1))
+            site = (hbond(r, c), hbond(r, c - 1), vbond(r, c), vbond(r - 1, c))
+            plaquettes.append(sum(1 << j for j in plaq))
+            sites.append(sum(1 << j for j in site))
+    return plaquettes, sites

@@ -399,3 +399,14 @@ class TestChannelValidation:
     def test_D_nan_rejected(self):
         with pytest.raises(ValidationError, match="D must be positive"):
             CodeParams(w=4, D=math.nan)
+
+    @pytest.mark.parametrize(
+        "weights", [{"w": 0}, {"w": -3}, {"w_X": 0, "w_Z": 4}, {"w": 4, "w_Z": -1}]
+    )
+    def test_weights_below_one_rejected(self, weights):
+        with pytest.raises(ValidationError, match="must be at least 1"):
+            CodeParams(**weights)
+
+    def test_weight_one_accepted(self):
+        assert CodeParams(w=1).weight() == 1
+        assert CodeParams(w_X=4, w_Z=1).weights_xz() == (4, 1)

@@ -115,6 +115,12 @@ class TestCensus:
         rc = run("census", "toric", "--L", "2", "--sector", "ft-x", "--m-max", "2")
         assert rc == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, capsys, workers):
+        assert run("census", "toric", "--L", "2", "--m-max", "2", "--workers", workers) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: workers must be at least 1\n" and captured.out == ""
+
 
 class TestThreshold:
     def test_solve_erasure(self, capsys):
@@ -214,6 +220,12 @@ class TestThreshold:
     def test_missing_solve_spec(self, capsys):
         assert run("threshold", "--model", "css", "--w", "4") == 2
 
+    @pytest.mark.parametrize("w", ["-3", "0"])
+    def test_weight_below_one(self, capsys, w):
+        assert run("threshold", "--model", "ft-stabilizer", "--w", w, "--solve", "q") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: w must be at least 1, got {w}\n" and captured.out == ""
+
 
 class TestFtExtendCommand:
     def test_writes_alist_pair(self, tmp_path, capsys):
@@ -255,6 +267,12 @@ class TestBadprob:
         assert rc == 0
         header = out.read_text().splitlines()[2]
         assert header == "m,m_q,exact,bound"
+
+    def test_m_max_below_one(self, tmp_path, capsys):
+        out = tmp_path / "bp.csv"
+        assert run("badprob", "--m-max", "0", "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: m_max must be at least 1\n"
+        assert not out.exists()
 
 
 class TestFit:

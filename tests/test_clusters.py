@@ -440,6 +440,14 @@ class TestBounds:
                 total = sum(cluster_count_bound_ft(n, r, w, m, mq) for mq in range(m + 1))
                 assert total == cluster_count_bound_ft_total(n, r, w, m)
 
+    def test_space_time_split_counts_qubit_steps_not_entries(self, toric2):
+        # the split is 0 at m_q = m, yet all-qubit clusters of weight m exist
+        ft = ft_extend(toric2, 2, errors="x")
+        census = enumerate_clusters(ft, 4, sector="ft", keep_clusters=True)
+        all_qubit = [c for c in census.clusters[4] if c.positions[-1] < ft.qubit_cols]
+        assert len(all_qubit) == 38
+        assert cluster_count_bound_ft(ft.n, ft.r, toric2.w_Z, 4, 4) == 0
+
     def test_paths_within_bounds(self, toric3, random_css_codes):
         census = enumerate_clusters(toric3, 6, sector="full")
         stab = toric3.stabilizer

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -19,6 +20,7 @@ from clusterbounds import (
 from clusterbounds.gf2 import BitMatrix, BitVector
 
 from conftest import make_random_matrix
+from oracles import toric_rows_literal
 
 
 def symplectic_product(e1: PauliOp, e2: PauliOp) -> int:
@@ -195,6 +197,16 @@ class TestToricCode:
         with pytest.raises(ValidationError):
             toric_code(1)
 
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_rows_match_lattice_oracle(self, L):
+        # census paths depend on check order, so the rows must match
+        # the lattice layout bit for bit and in order
+        plaquettes, sites = toric_rows_literal(L)
+        code = toric_code(L)
+        assert list(code.G_X.rows) == plaquettes
+        assert list(code.G_Z.rows) == sites
+        assert code.d == L
+
 
 class TestHypergraphProduct:
     def test_smallest_instance(self):
@@ -312,3 +324,48 @@ class TestCssValidation:
         for code in list(random_css_codes) + [toric3]:
             stab = code.stabilizer
             assert (stab.H @ stab.G.transpose()).is_zero()
+
+
+class TestComputedAttributes:
+    """Codes store only their defining matrices; every other attribute
+    is computed from them."""
+
+    def test_fields_are_the_defining_matrices(self, toric2):
+        assert [f.name for f in fields(toric2.stabilizer)] == ["G", "d"]
+        assert [f.name for f in fields(toric2)] == ["G_X", "G_Z", "d"]
+        assert [f.name for f in fields(ft_extend(toric2, 2))] == ["m", "P", "Q", "n", "r", "D_ft"]
+
+    def test_random_hypergraph_products_and_space_time_codes(self):
+        rng = random.Random(7)
+        for _ in range(12):
+            h1 = make_random_matrix(rng, rng.randint(2, 3), rng.randint(2, 4), 2)
+            h2 = make_random_matrix(rng, rng.randint(2, 3), rng.randint(2, 4), 2)
+            code = hypergraph_product(h1, h2)
+            n = h1.cols * h2.cols + h1.nrows * h2.nrows
+            assert code.n == code.G_X.cols == code.G_Z.cols == n
+            assert code.w_X == max(row.bit_count() for row in code.G_X.rows)
+            assert code.w_Z == max(row.bit_count() for row in code.G_Z.rows)
+            assert code.k == n - code.G_X.rank() - code.G_Z.rank()
+
+            stab = code.stabilizer
+            assert (stab.n, stab.k, stab.d) == (n, code.k, code.d)
+            assert stab.w == max(stab.generator(i).weight for i in range(stab.G.nrows))
+            assert stab.w == max(code.w_X, code.w_Z)
+            for i, row in enumerate(stab.H.rows):
+                g = stab.generator(i)
+                assert row == PauliOp(g.u, g.v).to_binary().bits
+
+            for errors in ("x", "z"):
+                checks, _ = code.sector(errors)
+                for m in (1, 2, 3):
+                    ft = ft_extend(code, m, errors=errors)
+                    assert (ft.m, ft.n, ft.r, ft.D_ft) == (m, n, checks.nrows, None)
+                    assert ft.N == m * n + (m - 1) * checks.nrows == ft.P.cols == ft.Q.cols
+                    assert ft.qubit_cols == m * n
+                    assert ft.w == max(row.bit_count() for row in ft.P.rows)
+                    assert ft.K == ft.N - ft.P.rank() - ft.Q.rank() == code.k
+
+    def test_cached_values_stay_out_of_equality(self, toric3):
+        fresh = toric_code(3)
+        assert toric3.k == 2 and toric3.stabilizer.H.nrows == 18
+        assert fresh == toric3 and hash(fresh) == hash(toric3)
