@@ -26,6 +26,20 @@ bit, so it comes from that check's short list, and its partner is looked
 up under the rest of s in a syndrome -> entries table.  The brute-force
 scan below closes its choices by lookup too, with no repair rule.
 
+One level above, a state whose children are closed this way is cut by
+check reach: reach[i] is the OR of the syndrome words of every entry
+flipping check i, so the child's entry, which flips the lowest bit i of
+s, changes no bit of s outside reach[i].  Checks that no entry flips
+together need one entry each, and a completion has at most two entries
+left.  So when the bits of s outside reach[i] hold three such checks the
+state has no completion, and when they hold two, a and b, a child whose
+syndrome has a bit outside reach[a] | reach[b] has none.  The cut drops
+only states with no completion, so every count stays exact.  Where
+every entry flips at most two checks, as in the toric code's single
+sectors and its space-time code, a repair step clears one bit and sets
+at most one, so the syndrome never has more than two bits and the cut
+never fires.
+
 A state's whole subtree depends only on its key, and most partial
 clusters are reached by several orderings, mostly from different seeds.
 So the first levels are grown breadth-first into a frontier that maps
@@ -59,9 +73,10 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import islice
 from math import comb
+from operator import or_
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
 from .errors import ResourceCapError, ValidationError
@@ -163,6 +178,9 @@ class _Problem:
     # per check in search order: (syndrome word, key bit, exclusion mask)
     # of every entry whose lowest syndrome bit is that check
     lowest: tuple
+    # per check in search order: the OR of the syndrome words of every
+    # entry that flips it, the checks an entry placed there can touch
+    reach: tuple
     # echelon basis of the degeneracy group's rows
     degeneracy: dict
     # m -> closed-form ceiling on the weight-m recursion paths
@@ -314,6 +332,7 @@ def _problem(
         closers=closers,
         pairs=pairs,
         lowest=tuple(tuple(low) for low in lowest),
+        reach=tuple(reduce(or_, (ds for ds, _, _ in flipping), 0) for flipping in branches),
         degeneracy=echelon(degeneracy.rows),
         bound=bound,
     )
@@ -357,6 +376,28 @@ def _frontier(branches, syn, m_max: int, limit: int) -> dict[int, int]:
     return layer
 
 
+def _reach_cut(reach, s: int, i: int) -> int:
+    """The checks that a completable child of a state with syndrome s may
+    leave violated, when the children sit two entries short of the cap:
+    -1 if this rules out none, 0 if the state has no completion.
+
+    Every child keeps the bits of s outside reach[i], i the lowest bit
+    of s.  Among them, three checks that no entry flips in pairs need
+    three more entries, and two, a and b, need one entry inside reach[a]
+    and one inside reach[b]."""
+    kept = s & ~reach[i]
+    if not kept:
+        return -1
+    reach_a = reach[(kept & -kept).bit_length() - 1]
+    rest = kept & ~reach_a
+    if not rest:
+        return -1
+    reach_b = reach[(rest & -rest).bit_length() - 1]
+    if rest & ~reach_b:
+        return 0
+    return reach_a | reach_b
+
+
 def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     """Depth-first search from (key, multiplicity) starts; returns
     per-weight path counts and the set of recorded cluster keys.
@@ -372,9 +413,10 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     s ^ syn(e1).  When e1 and e2 share a check they are one row of pairs,
     looked up under s.  Otherwise syn(e1) lies inside s, so its lowest bit
     is s's: e1 is on that check's lowest list, and e2 is looked up in
-    closers under s ^ syn(e1)."""
-    branches, closers, pairs, lowest = (
-        problem.branches, problem.closers, problem.pairs, problem.lowest
+    closers under s ^ syn(e1).  The state one entry above is first cut
+    by _reach_cut, once, and only its children left in reach are closed."""
+    branches, closers, pairs, lowest, reach = (
+        problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach
     )
     paths = [0] * (m_max + 1)
     found: set[int] = set()
@@ -409,6 +451,12 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
         i = (s & -s).bit_length() - 1
         nd = depth + 1
         extend = nd < penult
+        outside = 0
+        if not extend and s.bit_count() > 2:
+            allowed = _reach_cut(reach, s, i)
+            if not allowed:
+                return
+            outside = ~allowed
         for ds, bit, excl in branches[i]:
             if key & excl:
                 continue
@@ -417,7 +465,7 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
                 record(key | bit, nd)
             elif extend:
                 go(key | bit, ns, nd)
-            else:
+            elif not ns & outside:
                 close(key | bit, ns)
 
     for key, mult in starts:
@@ -505,6 +553,8 @@ def enumerate_clusters(
         raise ValidationError("m_max must be at least 1")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
+    if max_stored < 1:
+        raise ValidationError(f"max_stored must be at least 1, got {max_stored}")
     problem = _build_problem(code, sector)
     limit = min(_FRONTIER_BUDGET, max_stored)
     starts = _frontier(problem.branches, problem.syn, m_max, limit).items()

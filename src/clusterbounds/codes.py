@@ -140,12 +140,18 @@ class StabilizerCode:
         return self.G.row_space_contains(e.to_binary())
 
 
+def _check_distance(d: int | None) -> None:
+    if d is not None and d < 1:
+        raise ValidationError(f"known distance must be at least 1, got {d}")
+
+
 def new_stabilizer(G: BitMatrix, d: int | None = None) -> StabilizerCode:
     """Validate a generator matrix and build the code.
 
-    Rejects zero rows and any anticommuting row pair (reported by
-    index).
+    Rejects zero rows, any anticommuting row pair (reported by index)
+    and a known distance below 1.
     """
+    _check_distance(d)
     if G.cols % 2:
         raise ValidationError("generator matrix must have 2n columns")
     n = G.cols // 2
@@ -206,7 +212,9 @@ class CssCode:
 
 
 def new_css(G_X: BitMatrix, G_Z: BitMatrix, d: int | None = None) -> CssCode:
-    """Validate orthogonality of the two sectors and build the code."""
+    """Validate orthogonality of the two sectors and a known distance
+    (at least 1), and build the code."""
+    _check_distance(d)
     if G_X.cols != G_Z.cols:
         raise ValidationError("G_X and G_Z must have the same number of columns")
     for name, M in (("G_X", G_X), ("G_Z", G_Z)):
@@ -306,7 +314,8 @@ def ft_extend_matrices(H: BitMatrix, G: BitMatrix, m: int, d: int | None = None)
     the bare pair.
     """
     if m < 1:
-        raise ValidationError("need m >= 1")
+        raise ValidationError(f"need at least one measurement round, got {m}")
+    _check_distance(d)
     r, n = H.shape
     if G.cols != n:
         raise ValidationError("H and G must act on the same columns")

@@ -114,6 +114,21 @@ class TestCensus:
     def test_rounds_required_for_ft(self, capsys):
         rc = run("census", "toric", "--L", "2", "--sector", "ft-x", "--m-max", "2")
         assert rc == 2
+        assert capsys.readouterr().err == "error: space-time census needs --rounds\n"
+        rc = run("census", "toric", "--L", "2", "--sector", "ft-x", "--rounds", "0",
+                 "--m-max", "2")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least one measurement round, got 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_max_stored_below_one(self, capsys, cap):
+        rc = run("census", "toric", "--L", "2", "--m-max", "2", "--max-stored", cap)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: max_stored must be at least 1, got {cap}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, capsys, workers):
@@ -225,6 +240,24 @@ class TestThreshold:
         assert run("threshold", "--model", "ft-stabilizer", "--w", w, "--solve", "q") == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: w must be at least 1, got {w}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "css", "--gx", "{h}", "--gz", "{h}"),
+        ("ft-extend", "css", "--gx", "{h}", "--gz", "{h}", "--sector", "x", "--rounds", "3"),
+    ],
+)
+def test_known_distance_below_one(tmp_path, capsys, argv):
+    path = tmp_path / "ham.txt"
+    path.write_text("1111000\n0110110\n0011101\n")
+    argv = [a.format(h=path) for a in argv]
+    assert run(*argv, "--d", "-4") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: known distance must be at least 1, got -4\n"
+    assert captured.out == ""
+    assert run(*argv, "--d", "3") == 0
 
 
 class TestFtExtendCommand:

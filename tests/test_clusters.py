@@ -255,11 +255,11 @@ class TestFrontier:
 
 
 @st.composite
-def random_shapes(draw):
-    """(rows, cols, row weight) of a matrix of at most 2 x 3 whose rows
-    can cover every column."""
-    rows = draw(st.integers(1, 2))
-    cols = draw(st.integers(2, 3))
+def random_shapes(draw, max_rows=2, max_cols=3):
+    """(rows, cols, row weight) of a matrix of at most max_rows x
+    max_cols whose rows can cover every column."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(2, max_cols))
     return rows, cols, draw(st.integers(-(-cols // rows), cols))
 
 
@@ -613,3 +613,51 @@ class TestNonCssCodes:
                 pairs = sorted(p for part in parts for p in zip(part.positions, part.paulis))
                 assert pairs == list(zip(cl.positions, cl.paulis))
                 assert all(is_irreducible(code, part) for part in parts)
+
+
+class TestReachCut:
+    """The last-level cut in the search drops only dead ends."""
+
+    def test_rejected_children_have_no_one_or_two_entry_completion(self):
+        fired = []
+
+        @settings(max_examples=120, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            which=st.sampled_from(["hgp", "five", "five-y"]),
+            shapes=st.tuples(random_shapes(3, 5), random_shapes(3, 5)),
+        )
+        def check(seed, which, shapes):
+            rng = random.Random(seed)
+            if which == "hgp":
+                code = hypergraph_product(*(make_random_matrix(rng, *s) for s in shapes))
+            else:
+                code = five_qubit_code(which == "five-y")
+            problem = _build_problem(code, "full")
+            syn, reach = problem.syn, problem.reach
+            n = len(syn) // 3
+            rejected = 0
+            for _ in range(40):
+                # a random partial cluster: one label on each of a few positions
+                used = rng.sample(range(n), rng.randint(1, min(4, n - 2)))
+                key = sum(1 << (3 * j + rng.randrange(3)) for j in used)
+                s = clusters_module._syndrome(key, syn)
+                if s.bit_count() <= 2:
+                    continue
+                i = (s & -s).bit_length() - 1
+                outside = ~clusters_module._reach_cut(reach, s, i)
+                for ds, bit, excl in problem.branches[i]:
+                    ns = s ^ ds
+                    if key & excl or not ns & outside:
+                        continue
+                    rejected += 1
+                    taken = {*used, (bit.bit_length() - 1) // 3}
+                    free = [e for e in range(len(syn)) if e // 3 not in taken]
+                    assert all(syn[e] != ns for e in free)
+                    assert all(
+                        syn[a] ^ syn[b] != ns for a in free for b in free if a // 3 < b // 3
+                    )
+            fired.append(rejected > 0)
+
+        check()
+        assert any(fired)

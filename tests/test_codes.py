@@ -293,8 +293,19 @@ class TestFtExtend:
         assert (ft.P @ ft.Q.transpose()).is_zero()
 
     def test_bad_round_count(self, toric2):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least one measurement round"):
             ft_extend(toric2, 0, errors="x")
+
+
+@pytest.mark.parametrize("d", [0, -4])
+def test_known_distance_below_one_rejected(toric2, d):
+    with pytest.raises(ValidationError, match="known distance must be at least 1"):
+        new_css(toric2.G_X, toric2.G_Z, d=d)
+    with pytest.raises(ValidationError, match="known distance must be at least 1"):
+        new_stabilizer(toric2.stabilizer.G, d=d)
+    with pytest.raises(ValidationError, match="known distance must be at least 1"):
+        ft_extend_matrices(toric2.G_Z, toric2.G_X, 2, d=d)
+    assert new_css(toric2.G_X, toric2.G_Z, d=1).d == 1
 
 
 class TestCssValidation:
