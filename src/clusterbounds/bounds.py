@@ -136,15 +136,26 @@ def condition_holds(code: CodeParams, ch: ChannelParams, model: str) -> bool:
 RATES = {"y": "y", "p": "p", "pX": "p_X", "pZ": "p_Z", "q": "q"}
 
 
-def with_rate(fixed: ChannelParams, free: str, value: float, model: str) -> ChannelParams:
-    """fixed with the rate named free (a key of RATES) set to value; p
-    under a CSS model sets p_X = p_Z = value."""
+def rate_fields(free: str, model: str) -> tuple[str, ...]:
+    """The ChannelParams fields that the rate named free (a key of RATES)
+    sets under model: p under a CSS model sets p_X and p_Z."""
     if free not in RATES:
         raise ValidationError(f"unknown rate {free!r}, expected one of {', '.join(RATES)}")
     field = RATES[free]
     if field == "p" and model in ("css", "ft-css"):
-        return replace(fixed, p_X=value, p_Z=value)
-    return replace(fixed, **{field: value})
+        return ("p_X", "p_Z")
+    return (field,)
+
+
+def model_fields(model: str) -> tuple[str, ...]:
+    """The ChannelParams fields that model's condition reads."""
+    rates = ("y", "p_X", "p_Z") if model.endswith("css") else ("y", "p")
+    return rates + ("q",) if model.startswith("ft-") else rates
+
+
+def with_rate(fixed: ChannelParams, free: str, value: float, model: str) -> ChannelParams:
+    """fixed with the rate named free set to value (see rate_fields)."""
+    return replace(fixed, **dict.fromkeys(rate_fields(free, model), value))
 
 
 def _bracket_top(free: str) -> float:
@@ -197,9 +208,10 @@ def threshold_curve(
     threshold of b with the other rates held fixed.  Where the
     condition holds for every b on its bracket, b is the bracket's top
     (1.0 for y, 0.5 otherwise); where it fails already at b = 0, b is
-    0.0."""
-    for name in (a, b):
-        with_rate(fixed, name, 0.0, model)  # rejects an unknown name
+    0.0.  Rates a and b must set different fields (see rate_fields)."""
+    shared = set(rate_fields(a, model)) & set(rate_fields(b, model))
+    if shared:
+        raise ValidationError(f"curve axes {a} and {b} both set {', '.join(sorted(shared))}")
     if points < 1:
         raise ValidationError(f"need at least one curve point, got {points}")
     a_max = solve_threshold(code, a, fixed, model=model)

@@ -26,6 +26,8 @@ from .bounds import (
     exact_bad_probability_css,
     exact_bad_probability_depol,
     exact_bad_probability_ft,
+    model_fields,
+    rate_fields,
     solve_threshold,
     threshold_curve,
 )
@@ -56,7 +58,30 @@ def _add_code_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--d", type=int, help="known distance, if any")
 
 
+# the code flags each code kind reads
+_CODE_FLAGS = {
+    "toric": ("L",),
+    "hgp": ("h1", "h2"),
+    "css": ("gx", "gz", "d"),
+    "stabilizer": ("g", "d"),
+}
+
+
+def _reject_flags(args, names, context: str) -> None:
+    """Refuse the first of the named flags that was given: context does
+    not read it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name} does not apply to {context}")
+
+
 def _make_code(args):
+    read = _CODE_FLAGS[args.kind]
+    _reject_flags(
+        args,
+        [name for flags in _CODE_FLAGS.values() for name in flags if name not in read],
+        f"{args.kind} codes",
+    )
     if args.kind == "toric":
         if args.L is None:
             raise ValidationError("toric code needs --L")
@@ -103,6 +128,7 @@ def _sector_code(args, code, desc):
             raise ValidationError("space-time census needs --rounds")
         ft = ft_extend(code, args.rounds, errors=sector[-1])
         return ft, "ft", f"{desc}|rounds={args.rounds},errors={sector[-1]}"
+    _reject_flags(args, ["rounds"], f"the {sector} sector")
     return code, sector, desc
 
 
@@ -157,8 +183,31 @@ def _cmd_threshold(args) -> int:
         D = float(args.D)
     except ValueError:
         raise ValidationError(f"--D must be a number or inf, got {args.D!r}")
+    if args.curve:
+        _reject_flags(args, ["solve"], "--curve")
+        try:
+            a_name, b_name = args.curve.split(":")
+        except ValueError:
+            raise ValidationError("curve spec must look like y:p")
+        free, task = (a_name, b_name), f"--curve {args.curve}"
+    elif args.solve:
+        _reject_flags(args, ["points"], "--solve")
+        free, task = (args.solve,), f"--solve {args.solve}"
+    else:
+        raise ValidationError("need --solve PARAM or --curve A:B")
+    # a fixed rate is unread when the model ignores its field or a free
+    # rate sets it; a CSS model reads w only in place of --wx or --wz
+    unread = set(RATES.values()) - set(model_fields(args.model))
+    unread.update(f for name in free if name in RATES for f in rate_fields(name, args.model))
+    ignored = [name for name, field in RATES.items() if field in unread]
+    if not args.model.endswith("css"):
+        ignored += ["wx", "wz"]
+    elif args.wx is not None and args.wz is not None:
+        ignored.append("w")
+    _reject_flags(args, ignored, f"threshold --model {args.model} {task}")
     code = CodeParams(w=args.w, w_X=args.wx, w_Z=args.wz, D=D)
-    fixed = ChannelParams(**{field: getattr(args, name) for name, field in RATES.items()})
+    rates = {field: getattr(args, name) for name, field in RATES.items()}
+    fixed = ChannelParams(**{field: rate for field, rate in rates.items() if rate is not None})
     config = {
         "command": "threshold",
         "model": args.model,
@@ -168,16 +217,11 @@ def _cmd_threshold(args) -> int:
         "D": args.D,
     }
     if args.curve:
-        try:
-            a_name, b_name = args.curve.split(":")
-        except ValueError:
-            raise ValidationError("curve spec must look like y:p")
-        rows = threshold_curve(code, a_name, b_name, fixed, args.model, args.points)
+        points = 21 if args.points is None else args.points
+        rows = threshold_curve(code, a_name, b_name, fixed, args.model, points)
         config["curve"] = args.curve
         _emit(args.output, write_csv(args.output, [a_name, b_name], rows, config))
         return 0
-    if not args.solve:
-        raise ValidationError("need --solve PARAM or --curve A:B")
     value = solve_threshold(code, args.solve, fixed, model=args.model)
     print(f"{args.solve} = {value:.9f}")
     if args.output:
@@ -204,19 +248,21 @@ def _cmd_ft_extend(args) -> int:
 def _cmd_badprob(args) -> int:
     if args.m_max < 1:
         raise ValidationError("m_max must be at least 1")
+    _reject_flags(args, ["y"] if args.kind == "ft" else ["q"], f"badprob --kind {args.kind}")
+    y, p, q = (0.0 if rate is None else rate for rate in (args.y, args.p, args.q))
     config = {
         "command": "badprob",
         "kind": args.kind,
         "m_max": args.m_max,
-        "y": args.y,
-        "p": args.p,
-        "q": args.q,
+        "y": y,
+        "p": p,
+        "q": q,
     }
     if args.kind == "ft":
         header = ["m", "m_q", "exact", "bound"]
         rows = [
-            [m, m_q, exact_bad_probability_ft(m, m_q, args.p, args.q),
-             bad_probability_bound_ft(m, m_q, args.p, args.q)]
+            [m, m_q, exact_bad_probability_ft(m, m_q, p, q),
+             bad_probability_bound_ft(m, m_q, p, q)]
             for m in range(1, args.m_max + 1)
             for m_q in range(m + 1)
         ]
@@ -228,7 +274,7 @@ def _cmd_badprob(args) -> int:
         }[args.kind]
         header = ["m", "exact", "bound"]
         rows = [
-            [m, exact(m, args.y, args.p), bound(m, args.y, args.p)]
+            [m, exact(m, y, p), bound(m, y, p)]
             for m in range(1, args.m_max + 1)
         ]
     _emit(args.output, write_csv(args.output, header, rows, config))
@@ -295,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--wz", type=int)
     t.add_argument("--D", default="inf", help="distance growth constant, or 'inf'")
     for name in RATES:
-        t.add_argument(f"--{name}", type=float, default=0.0)
+        t.add_argument(f"--{name}", type=float, help="fixed rate (default 0)")
     t.add_argument("--solve", choices=list(RATES))
     t.add_argument("--curve", help="sweep spec A:B, e.g. y:p")
-    t.add_argument("--points", type=int, default=21)
+    t.add_argument("--points", type=int, help="curve points (default 21)")
     t.add_argument("-o", "--output")
     t.set_defaults(func=_cmd_threshold)
 
@@ -312,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("badprob", help="exact bad-error sums next to their closed-form bounds")
     p.add_argument("--kind", default="css", choices=["css", "depol", "ft"])
     p.add_argument("--m-max", type=int, default=8, dest="m_max")
-    p.add_argument("--y", type=float, default=0.0)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
+    p.add_argument("--y", type=float, help="erasure rate, css and depol only (default 0)")
+    p.add_argument("--p", type=float, help="flip rate (default 0)")
+    p.add_argument("--q", type=float, help="syndrome flip rate, ft only (default 0)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_badprob)
 

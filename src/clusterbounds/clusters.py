@@ -15,7 +15,7 @@ whose syndrome reaches zero is one recorded cluster; states that cannot
 repair the first violated bit, or that hit the depth cap, backtrack.
 Each completion event is one recursion path, so a cluster is counted
 once per ordering of its entries that the repair rule admits.  The last
-two entries are not searched for.  A state two entries short of the cap
+entries are not searched for.  A state two entries short of the cap
 with syndrome s completes through one entry with word s, or through two
 entries whose words XOR to s, the first flipping the lowest bit of s.
 Two entries sharing a check are looked up under s in a table of
@@ -26,19 +26,32 @@ bit, so it comes from that check's short list, and its partner is looked
 up under the rest of s in a syndrome -> entries table.  The brute-force
 scan below closes its choices by lookup too, with no repair rule.
 
-One level above, a state whose children are closed this way is cut by
-check reach: reach[i] is the OR of the syndrome words of every entry
-flipping check i, so the child's entry, which flips the lowest bit i of
-s, changes no bit of s outside reach[i].  Checks that no entry flips
-together need one entry each, and a completion has at most two entries
-left.  So when the bits of s outside reach[i] hold three such checks the
-state has no completion, and when they hold two, a and b, a child whose
-syndrome has a bit outside reach[a] | reach[b] has none.  The cut drops
-only states with no completion, so every count stays exact.  Where
-every entry flips at most two checks, as in the toric code's single
-sectors and its space-time code, a repair step clears one bit and sets
-at most one, so the syndrome never has more than two bits and the cut
-never fires.
+A state's completions depend on its key only through the exclusion
+masks.  So where its syndrome s names at most two checks, they are kept
+per syndrome in two tables that each search run fills the first time it
+meets s: two[s] holds the (key bits, exclusion mask) of every one- or
+two-entry completion, and three[s], for a state three entries short of
+the cap, holds each first entry with its child's two rows.  Such a state
+completes through one lookup and one AND against its key per row.  There
+are r(r + 1)/2 syndromes of one or two bits for r checks, which bounds
+both tables by the code, not by the search.  In the toric code's single
+sectors and its space-time code every entry flips at most two checks,
+so a repair step clears one bit and sets at most one, and every state
+three short is served this way.
+
+A state three short whose syndrome has more bits, as most have in the
+full-Pauli sector, branches once more and closes each child by the
+lookups above, after a cut by check reach: reach[i] is the OR of the
+syndrome words of every entry flipping check i, so the child's entry,
+which flips the lowest bit i of s, changes no bit of s outside reach[i].
+Checks that no entry flips together need one entry each, and a
+completion has at most two entries left.  So when the bits of s outside
+reach[i] hold three such checks the state has no completion, and when
+they hold two, a and b, a child whose syndrome has a bit outside
+reach[a] | reach[b] has none.  The cut drops only states with no
+completion, so every count stays exact, but it reads only the bits of s
+outside reach[i], so most of the children it lets through still end
+without one.
 
 A state's whole subtree depends only on its key, and most partial
 clusters are reached by several orderings, mostly from different seeds.
@@ -71,7 +84,6 @@ call and dropped when it returns.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import islice
@@ -398,6 +410,60 @@ def _reach_cut(reach, s: int, i: int) -> int:
     return reach_a | reach_b
 
 
+# the empty completion: a child whose syndrome is zero is itself a cluster
+_DONE = ((0, 0),)
+
+
+def _two_rows(problem: _Problem, s: int) -> tuple:
+    """(key bits, exclusion mask) of every one- or two-entry completion of
+    a state with syndrome s that the repair rule admits.
+
+    One entry completes with word s.  Two entries add e1, flipping the
+    lowest bit of s, then e2 with word s ^ syn(e1).  When they share a
+    check they are one row of pairs under s.  Otherwise syn(e1) lies
+    inside s, so its lowest bit is s's: e1 is on that check's lowest
+    list, and e2 is in closers under s ^ syn(e1), on another position."""
+    rows = list(problem.pairs.get(s, ()))
+    for d1, b1, x1 in problem.lowest[(s & -s).bit_length() - 1]:
+        if d1 & ~s:
+            continue
+        if d1 == s:
+            rows.append((b1, x1))
+            continue
+        for b2, x2 in problem.closers.get(s ^ d1, ()):
+            if not b1 & x2:
+                rows.append((b1 | b2, x1 | x2))
+    return tuple(rows)
+
+
+def _three_rows(problem: _Problem, s: int, two: dict) -> tuple[tuple, tuple]:
+    """The first entries of a state three entries short of the cap with
+    syndrome s, as (rows, direct).
+
+    rows holds (key bit, exclusion mask, completions) for each entry
+    whose child syndrome has at most two bits: the child's two rows,
+    taken from two or built into it, or _DONE when the child's syndrome
+    is zero.  An entry that no completion fits beside is left out.
+    direct holds (key bit, exclusion mask, child syndrome) for each
+    entry whose child syndrome has more bits; such a child is closed
+    without a table."""
+    rows, direct = [], []
+    for ds, bit, excl in problem.branches[(s & -s).bit_length() - 1]:
+        ns = s ^ ds
+        if ns.bit_count() > 2:
+            direct.append((bit, excl, ns))
+            continue
+        if ns:
+            completions = two.get(ns)
+            if completions is None:
+                completions = two[ns] = _two_rows(problem, ns)
+        else:
+            completions = _DONE
+        if any(not bit & x for _, x in completions):
+            rows.append((bit, excl, completions))
+    return tuple(rows), tuple(direct)
+
+
 def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     """Depth-first search from (key, multiplicity) starts; returns
     per-weight path counts and the set of recorded cluster keys.
@@ -407,24 +473,33 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     that reach the start's key.  A start at depth m_max - 1 (a seed when
     m_max == 2) closes through one closers lookup of its syndrome.
 
-    A state two entries short of m_max is closed without a branch loop.
-    Its completions add one entry e1 flipping the lowest bit of its
-    syndrome s, then, unless e1's word is s, one entry e2 with word
-    s ^ syn(e1).  When e1 and e2 share a check they are one row of pairs,
-    looked up under s.  Otherwise syn(e1) lies inside s, so its lowest bit
-    is s's: e1 is on that check's lowest list, and e2 is looked up in
-    closers under s ^ syn(e1).  The state one entry above is first cut
-    by _reach_cut, once, and only its children left in reach are closed."""
+    A state three entries short of m_max whose syndrome s has at most
+    two bits is not searched below: its completions depend on its key
+    only through the exclusion masks, so they are read from three[s]
+    (_three_rows), whose rows point at two[s'] (_two_rows) for each
+    child syndrome s'.  Both tables belong to this run and are filled
+    the first time a syndrome is met; they keep only syndromes of at
+    most two bits, so each has at most r(r + 1)/2 keys for r checks.
+
+    A three-short state with a larger syndrome branches: it is cut by
+    _reach_cut, once, and each child left in reach goes to close, which
+    makes the lookups of _two_rows without building rows.  So do a
+    table-served state's children with larger syndromes and the starts
+    two entries short.  Serving the children of the branching states
+    from two as well would cost a bit count on every child of the
+    full-Pauli sector's many such states, more than it saves."""
     branches, closers, pairs, lowest, reach = (
         problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach
     )
     paths = [0] * (m_max + 1)
     found: set[int] = set()
-    penult = m_max - 2
+    top = m_max - 3
     mult = 1
+    two: dict[int, tuple] = {}
+    three: dict[int, tuple] = {}
 
-    def record(key: int, weight: int) -> None:
-        paths[weight] += mult
+    def record(key: int) -> None:
+        paths[key.bit_count()] += mult
         if key not in found:
             if len(found) >= cap:
                 raise ResourceCapError(
@@ -435,52 +510,76 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     def close(key: int, s: int) -> None:
         for bits, excl in pairs.get(s, ()):
             if not key & excl:
-                record(key | bits, m_max)
+                record(key | bits)
         for d1, b1, x1 in lowest[(s & -s).bit_length() - 1]:
             if d1 & ~s or key & x1:
                 continue
             if d1 == s:
-                record(key | b1, m_max - 1)
+                record(key | b1)
                 continue
             child = key | b1
             for b2, x2 in closers.get(s ^ d1, ()):
                 if not child & x2:
-                    record(child | b2, m_max)
+                    record(child | b2)
 
-    def go(key: int, s: int, depth: int) -> None:
-        i = (s & -s).bit_length() - 1
-        nd = depth + 1
-        extend = nd < penult
-        outside = 0
-        if not extend and s.bit_count() > 2:
+    def close_three(key: int, s: int) -> None:
+        if s.bit_count() > 2:
+            i = (s & -s).bit_length() - 1
             allowed = _reach_cut(reach, s, i)
             if not allowed:
                 return
             outside = ~allowed
-        for ds, bit, excl in branches[i]:
+            for ds, bit, excl in branches[i]:
+                if key & excl:
+                    continue
+                ns = s ^ ds
+                if ns == 0:
+                    record(key | bit)
+                elif not ns & outside:
+                    close(key | bit, ns)
+            return
+        table = three.get(s)
+        if table is None:
+            table = three[s] = _three_rows(problem, s, two)
+        rows, direct = table
+        for bit, excl, completions in rows:
+            if not key & excl:
+                child = key | bit
+                for bits, x in completions:
+                    if not child & x:
+                        record(child | bits)
+        for bit, excl, ns in direct:
+            if not key & excl:
+                close(key | bit, ns)
+
+    def go(key: int, s: int, depth: int) -> None:
+        nd = depth + 1
+        for ds, bit, excl in branches[(s & -s).bit_length() - 1]:
             if key & excl:
                 continue
             ns = s ^ ds
             if ns == 0:
-                record(key | bit, nd)
-            elif extend:
+                record(key | bit)
+            elif nd < top:
                 go(key | bit, ns, nd)
-            elif not ns & outside:
-                close(key | bit, ns)
+            else:
+                close_three(key | bit, ns)
 
     for key, mult in starts:
         s = _syndrome(key, problem.syn)
         depth = key.bit_count()
         if s == 0:
-            record(key, depth)
-        elif depth < penult:
+            record(key)
+        elif depth < top:
             go(key, s, depth)
-        elif depth == penult:
+        elif depth == top:
+            close_three(key, s)
+        elif depth == top + 1:
             close(key, s)
         elif depth < m_max:
             for b, x in closers.get(s, ()):
                 if not key & x:
-                    record(key | b, m_max)
+                    record(key | b)
     return paths, found
 
 
@@ -547,7 +646,10 @@ def enumerate_clusters(
     partial clusters in its frontier.  Workers split that frontier, not
     the seeds; each holds the distinct clusters found from its share, up
     to max_stored of them, and the shares overlap in the clusters they
-    find, so a run on N workers may hold up to N times the cap.
+    find, so a run on N workers may hold up to N times the cap.  Each
+    worker, or the one run, also holds its completion tables, keyed by
+    syndromes of at most two bits, so at most r(r + 1)/2 keys each for r
+    checks, whatever the cap.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
@@ -561,6 +663,9 @@ def enumerate_clusters(
     if workers <= 1:
         paths, found = _run_seeds(problem, starts, m_max, max_stored)
     else:
+        # only pooled runs pay for loading the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         paths = [0] * (m_max + 1)
         found = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:

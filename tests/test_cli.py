@@ -341,3 +341,68 @@ class TestFit:
         path = tmp_path / "census.csv"
         write_csv(str(path), ["m", "distinct"], [[1, 2], [2, 3], [3, 4]], {})
         assert run("fit", str(path), "--field", "nope") == 2
+
+
+@pytest.mark.parametrize(
+    "model, curve, field",
+    [("css", "y:y", "y"), ("css", "p:pX", "p_X"), ("ft-css", "pZ:p", "p_Z"), ("stabilizer", "p:p", "p")],
+)
+def test_curve_axes_setting_one_field(tmp_path, capsys, model, curve, field):
+    out = tmp_path / "curve.csv"
+    assert run("threshold", "--model", model, "--w", "4", "--curve", curve, "-o", str(out)) == 2
+    a, b = curve.split(":")
+    assert capsys.readouterr().err == f"error: curve axes {a} and {b} both set {field}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("census", "toric", "--L", "3", "--sector", "x", "--rounds", "3", "--m-max", "4"), "rounds"),
+        (("census", "toric", "--L", "3", "--sector", "full", "--rounds", "3", "--m-max", "4"), "rounds"),
+        (("build", "toric", "--L", "2", "--d", "0"), "d"),
+        (("build", "toric", "--L", "2", "--d", "2"), "d"),
+        (("build", "hgp", "--h1", "{h}", "--h2", "{h}", "--d", "3"), "d"),
+        (("build", "css", "--gx", "{h}", "--gz", "{h}", "--L", "3"), "L"),
+        (("census", "stabilizer", "--g", "{h}", "--h1", "{h}", "--m-max", "2"), "h1"),
+        (("ft-extend", "toric", "--L", "2", "--gz", "{h}", "--rounds", "2"), "gz"),
+        (("threshold", "--model", "css", "--w", "4", "--solve", "y", "--p", "0.1"), "p"),
+        (("threshold", "--model", "stabilizer", "--w", "4", "--solve", "y", "--q", "0.1"), "q"),
+        (("threshold", "--model", "ft-stabilizer", "--w", "4", "--solve", "q", "--pX", "0.1"), "pX"),
+        (("threshold", "--model", "stabilizer", "--w", "4", "--wx", "3", "--solve", "y"), "wx"),
+        (("threshold", "--model", "css", "--w", "4", "--wx", "3", "--wz", "3", "--solve", "y"), "w"),
+        (("threshold", "--model", "css", "--w", "4", "--solve", "y", "--y", "0.1"), "y"),
+        (("threshold", "--model", "css", "--w", "4", "--curve", "y:p", "--pZ", "0.1"), "pZ"),
+        (("threshold", "--model", "css", "--w", "4", "--solve", "y", "--points", "3"), "points"),
+        (("threshold", "--model", "css", "--w", "4", "--solve", "y", "--curve", "y:pZ"), "solve"),
+        (("badprob", "--kind", "ft", "--y", "0.1"), "y"),
+        (("badprob", "--kind", "depol", "--q", "0.1"), "q"),
+    ],
+)
+def test_ignored_flag_is_refused_by_name(tmp_path, capsys, argv, flag):
+    path = tmp_path / "h.txt"
+    path.write_text("110\n011\n")
+    assert run(*(a.format(h=path) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --{flag} does not apply to ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("threshold", "--model", "css", "--wx", "4", "--wz", "3", "--y", "0.1", "--solve", "pX"),
+        ("threshold", "--model", "css", "--w", "4", "--wx", "3", "--solve", "pZ"),
+        ("threshold", "--model", "ft-stabilizer", "--w", "4", "--y", "0.001", "--p", "0.001",
+         "--solve", "q"),
+        ("badprob", "--kind", "ft", "--p", "0.1", "--q", "0.1", "--m-max", "2"),
+        ("badprob", "--kind", "css", "--y", "0.1", "--p", "0.1", "--m-max", "2"),
+    ],
+)
+def test_flags_the_command_reads_are_accepted(argv):
+    assert run(*argv) == 0
+
+
+def test_unset_rates_are_written_as_zero(capsys):
+    assert run("badprob", "--kind", "css", "--m-max", "1", "--p", "0.1") == 0
+    assert "# config: command=badprob kind=css m_max=1 y=0.0 p=0.1 q=0.0\n" in capsys.readouterr().out

@@ -1,5 +1,8 @@
 import itertools
 import random
+from collections import Counter
+from functools import reduce
+from operator import or_
 from unittest.mock import patch
 
 import pytest
@@ -661,3 +664,107 @@ class TestReachCut:
 
         check()
         assert any(fired)
+
+
+def ordered_completions(problem, s, taken, left):
+    """Every sequence of at most left entries on distinct free positions
+    that clears syndrome s, each entry flipping the lowest violated check
+    that the ones before it leave; taken holds the used positions."""
+    width, syn = problem.width, problem.syn
+    if s == 0:
+        return [()]
+    if left == 0:
+        return []
+    low = s & -s
+    out = []
+    for e in range(len(syn)):
+        if syn[e] & low and e // width not in taken:
+            out += [
+                (e, *rest)
+                for rest in ordered_completions(problem, s ^ syn[e], taken | {e // width}, left - 1)
+            ]
+    return out
+
+
+class TestCompletionTables:
+    """The per-syndrome tables that close the search's last three entries."""
+
+    def test_rows_match_ordered_completions(self):
+        met_direct = []
+
+        @settings(max_examples=100, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            which=st.sampled_from(["x", "z", "full", "ft-x", "ft-z", "five", "five-y"]),
+            shapes=st.tuples(random_shapes(), random_shapes()),
+            m_max=st.integers(4, 6),
+            budget=st.integers(0, 16),
+        )
+        def check(seed, which, shapes, m_max, budget):
+            rng = random.Random(seed)
+            if which.startswith("five"):
+                code, sector = five_qubit_code(which == "five-y"), "full"
+            else:
+                code = hypergraph_product(*(make_random_matrix(rng, *s) for s in shapes))
+                sector = which
+                if which.startswith("ft-"):
+                    code, sector = ft_extend(code, 2, errors=which[3:]), "ft"
+            problem = _build_problem(code, sector)
+            width, syn = problem.width, problem.syn
+            two, three = {}, {}
+
+            def keep(table, build):
+                def built(problem, s, *rest):
+                    table[s] = build(problem, s, *rest)
+                    return table[s]
+
+                return built
+
+            # a small budget leaves states three short of the cap to the search
+            with (
+                patch.object(clusters_module, "_FRONTIER_BUDGET", budget),
+                patch.object(clusters_module, "_two_rows", keep(two, clusters_module._two_rows)),
+                patch.object(
+                    clusters_module, "_three_rows", keep(three, clusters_module._three_rows)
+                ),
+            ):
+                census = enumerate_clusters(code, m_max, sector=sector)
+            assert census.same_counts(brute_force_census(code, m_max, sector=sector))
+
+            def key_and_mask(entries):
+                masks = (((1 << width) - 1) << (e - e % width) for e in entries)
+                return sum(1 << e for e in entries), reduce(or_, masks, 0)
+
+            assert all(0 < s.bit_count() <= 2 for s in (*two, *three))
+            for s, rows in two.items():
+                expected = [key_and_mask(c) for c in ordered_completions(problem, s, set(), 2)]
+                assert Counter(rows) == Counter(expected)
+            for s, (rows, direct) in three.items():
+                table, deferred = [], []
+                for e1, *rest in ordered_completions(problem, s, set(), 3):
+                    ns = s ^ syn[e1]
+                    if ns.bit_count() <= 2:
+                        table.append((1 << e1, key_and_mask(rest)[0]))
+                    elif all(e1 != e for e, _ in deferred):
+                        deferred.append((e1, ns))
+                served = []
+                for bit, excl, completions in rows:
+                    e1 = bit.bit_length() - 1
+                    ns = s ^ syn[e1]
+                    assert (bit, excl) == key_and_mask([e1])
+                    assert completions is (two[ns] if ns else clusters_module._DONE)
+                    fits = [(bit, bits) for bits, x in completions if not bit & x]
+                    assert fits
+                    served += fits
+                assert Counter(served) == Counter(table)
+                # a first entry with a larger child syndrome is kept whether
+                # or not the child completes
+                branches = problem.branches[(s & -s).bit_length() - 1]
+                assert Counter(direct) == Counter(
+                    (bit, excl, s ^ ds) for ds, bit, excl in branches if (s ^ ds).bit_count() > 2
+                )
+                assert {(b.bit_length() - 1, ns) for b, _, ns in direct} >= set(deferred)
+            met_direct.append(any(direct for _, direct in three.values()))
+
+        check()
+        assert any(met_direct)
