@@ -206,8 +206,8 @@ def _cmd_threshold(args) -> int:
         ignored.append("w")
     _reject_flags(args, ignored, f"threshold --model {args.model} {task}")
     code = CodeParams(w=args.w, w_X=args.wx, w_Z=args.wz, D=D)
-    rates = {field: getattr(args, name) for name, field in RATES.items()}
-    fixed = ChannelParams(**{field: rate for field, rate in rates.items() if rate is not None})
+    given = {name: getattr(args, name) for name in RATES if getattr(args, name) is not None}
+    fixed = ChannelParams(**{RATES[name]: rate for name, rate in given.items()})
     config = {
         "command": "threshold",
         "model": args.model,
@@ -215,11 +215,12 @@ def _cmd_threshold(args) -> int:
         "w_X": args.wx,
         "w_Z": args.wz,
         "D": args.D,
+        **given,
     }
     if args.curve:
         points = 21 if args.points is None else args.points
         rows = threshold_curve(code, a_name, b_name, fixed, args.model, points)
-        config["curve"] = args.curve
+        config.update(curve=args.curve, points=points)
         _emit(args.output, write_csv(args.output, [a_name, b_name], rows, config))
         return 0
     value = solve_threshold(code, args.solve, fixed, model=args.model)

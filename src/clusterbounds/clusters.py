@@ -15,43 +15,45 @@ whose syndrome reaches zero is one recorded cluster; states that cannot
 repair the first violated bit, or that hit the depth cap, backtrack.
 Each completion event is one recursion path, so a cluster is counted
 once per ordering of its entries that the repair rule admits.  The last
-entries are not searched for.  A state two entries short of the cap
-with syndrome s completes through one entry with word s, or through two
-entries whose words XOR to s, the first flipping the lowest bit of s.
-Two entries sharing a check are looked up under s in a table of
-check-sharing pairs, which has at most the sum over checks of |entries
-flipping it|^2 rows, so it grows linearly with the code.  Any other
-first entry lies inside s and has the lowest bit of s as its own lowest
-bit, so it comes from that check's short list, and its partner is looked
-up under the rest of s in a syndrome -> entries table.  The brute-force
-scan below closes its choices by lookup too, with no repair rule.
+entries are not searched for: a state at most three entries short of
+the cap is finished by one completion routine, which lists the (key
+bits, exclusion mask) of every completion that the repair rule admits.
+One entry completes with word s, the state's syndrome, looked up in a
+syndrome -> entries table.  Two entries have words XORing to s, the
+first flipping the lowest bit of s.  Two entries sharing a check are
+looked up under s in a table of check-sharing pairs, which has at most
+the sum over checks of |entries flipping it|^2 rows, so it grows
+linearly with the code.  Any other first entry lies inside s and has
+the lowest bit of s as its own lowest bit, so it comes from that check's
+short list, and its partner is looked up under the rest of s.  Three
+entries branch once more over the entries flipping the lowest bit of s
+and close each child by the two-entry step.  The brute-force scan below
+closes its choices by lookup too, with no repair rule.
 
 A state's completions depend on its key only through the exclusion
-masks.  So where its syndrome s names at most two checks, they are kept
-per syndrome in two tables that each search run fills the first time it
-meets s: two[s] holds the (key bits, exclusion mask) of every one- or
-two-entry completion, and three[s], for a state three entries short of
-the cap, holds each first entry with its child's two rows.  Such a state
-completes through one lookup and one AND against its key per row.  There
-are r(r + 1)/2 syndromes of one or two bits for r checks, which bounds
-both tables by the code, not by the search.  In the toric code's single
-sectors and its space-time code every entry flips at most two checks,
-so a repair step clears one bit and sets at most one, and every state
-three short is served this way.
+masks: the completions of a state are those of the empty key whose
+masks miss its key.  So where its syndrome s names at most two checks,
+each search run keeps the empty key's completions per syndrome and
+number of entries left, filled the first time it meets them, and the
+state finishes by one lookup and one AND against its key per row.
+There are r(r + 1)/2 syndromes of one or two bits for r checks, which
+bounds the tables by the code, not by the search.  In the toric code's
+single sectors and its space-time code every entry flips at most two
+checks, so a repair step clears one bit and sets at most one, and every
+finished state is served this way.  A state with a larger syndrome, as
+most are in the full-Pauli sector, is completed under its own key.
 
-A state three short whose syndrome has more bits, as most have in the
-full-Pauli sector, branches once more and closes each child by the
-lookups above, after a cut by check reach: reach[i] is the OR of the
-syndrome words of every entry flipping check i, so the child's entry,
-which flips the lowest bit i of s, changes no bit of s outside reach[i].
-Checks that no entry flips together need one entry each, and a
-completion has at most two entries left.  So when the bits of s outside
-reach[i] hold three such checks the state has no completion, and when
-they hold two, a and b, a child whose syndrome has a bit outside
-reach[a] | reach[b] has none.  The cut drops only states with no
-completion, so every count stays exact, but it reads only the bits of s
-outside reach[i], so most of the children it lets through still end
-without one.
+Before the three-entry step branches, it cuts by check reach: reach[i]
+is the OR of the syndrome words of every entry flipping check i, so the
+child's entry, which flips the lowest bit i of s, changes no bit of s
+outside reach[i].  Checks that no entry flips together need one entry
+each, and a completion has at most two entries left.  So when the bits
+of s outside reach[i] hold three such checks the state has no
+completion, and when they hold two, a and b, a child whose syndrome has
+a bit outside reach[a] | reach[b] has none.  The cut drops only states
+with no completion, so every count stays exact, but it reads only the
+bits of s outside reach[i], so most of the children it lets through
+still end without one.
 
 A state's whole subtree depends only on its key, and most partial
 clusters are reached by several orderings, mostly from different seeds.
@@ -91,7 +93,7 @@ from math import comb
 from operator import or_
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
-from .errors import ResourceCapError, ValidationError
+from .errors import ClusterBoundsError, ResourceCapError, ValidationError
 from .gf2 import BitMatrix, echelon, kernel, residue, zero_sum_choices, zero_sum_work
 
 DEFAULT_CLUSTER_CAP = 10**7
@@ -362,10 +364,10 @@ def _frontier(branches, syn, m_max: int, limit: int) -> dict[int, int]:
     the next check and the exclusions all follow from it.  So every
     ordering that reaches a key is searched once, from that key, with
     its multiplicity.  Only states of depth m_max - 3 or less are
-    expanded (deeper ones are closed by table lookups), and only while
-    the frontier holds at most limit keys, so it never holds more than
-    limit keys plus one state's children (the first layer is the
-    children of the empty cluster).  The unexpanded rest of a partly
+    expanded (deeper ones are finished by the completion routine), and
+    only while the frontier holds at most limit keys, so it never holds
+    more than limit keys plus one state's children (the first layer is
+    the children of the empty cluster).  The unexpanded rest of a partly
     grown layer stays at its depth.  Completed keys (zero syndrome) stay
     in the frontier and are recorded from it."""
     layer = {1 << e: 1 for e in range(len(syn))}
@@ -410,58 +412,63 @@ def _reach_cut(reach, s: int, i: int) -> int:
     return reach_a | reach_b
 
 
-# the empty completion: a child whose syndrome is zero is itself a cluster
-_DONE = ((0, 0),)
+def _completer(problem: _Problem):
+    """The completion routine of a search run, with the problem's tables
+    bound once.
 
+    complete(key, s, left), for 1 <= left <= 3, lists as (key bits,
+    exclusion mask) rows every completion of at most left entries that
+    the repair rule admits for a state with key key and nonzero syndrome
+    s, by the lookups and the cut of the module docstring.  A row's mask
+    is the OR of its entries' masks, and rows that meet a position of
+    key are left out; so the rows for key 0 whose masks miss key are the
+    rows for key."""
+    branches, closers, pairs, lowest, reach = (
+        problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach
+    )
+    # three entries left: each first entry flipping the lowest bit of s,
+    # then the two-entry step; two left: that step after an empty entry
+    empty = ((0, 0, 0),)
 
-def _two_rows(problem: _Problem, s: int) -> tuple:
-    """(key bits, exclusion mask) of every one- or two-entry completion of
-    a state with syndrome s that the repair rule admits.
-
-    One entry completes with word s.  Two entries add e1, flipping the
-    lowest bit of s, then e2 with word s ^ syn(e1).  When they share a
-    check they are one row of pairs under s.  Otherwise syn(e1) lies
-    inside s, so its lowest bit is s's: e1 is on that check's lowest
-    list, and e2 is in closers under s ^ syn(e1), on another position."""
-    rows = list(problem.pairs.get(s, ()))
-    for d1, b1, x1 in problem.lowest[(s & -s).bit_length() - 1]:
-        if d1 & ~s:
-            continue
-        if d1 == s:
-            rows.append((b1, x1))
-            continue
-        for b2, x2 in problem.closers.get(s ^ d1, ()):
-            if not b1 & x2:
-                rows.append((b1 | b2, x1 | x2))
-    return tuple(rows)
-
-
-def _three_rows(problem: _Problem, s: int, two: dict) -> tuple[tuple, tuple]:
-    """The first entries of a state three entries short of the cap with
-    syndrome s, as (rows, direct).
-
-    rows holds (key bit, exclusion mask, completions) for each entry
-    whose child syndrome has at most two bits: the child's two rows,
-    taken from two or built into it, or _DONE when the child's syndrome
-    is zero.  An entry that no completion fits beside is left out.
-    direct holds (key bit, exclusion mask, child syndrome) for each
-    entry whose child syndrome has more bits; such a child is closed
-    without a table."""
-    rows, direct = [], []
-    for ds, bit, excl in problem.branches[(s & -s).bit_length() - 1]:
-        ns = s ^ ds
-        if ns.bit_count() > 2:
-            direct.append((bit, excl, ns))
-            continue
-        if ns:
-            completions = two.get(ns)
-            if completions is None:
-                completions = two[ns] = _two_rows(problem, ns)
+    def complete(key: int, s: int, left: int) -> list:
+        if left == 1:
+            return [(b, x) for b, x in closers.get(s, ()) if not key & x]
+        rows = []
+        if left == 2:
+            firsts, outside = empty, 0
         else:
-            completions = _DONE
-        if any(not bit & x for _, x in completions):
-            rows.append((bit, excl, completions))
-    return tuple(rows), tuple(direct)
+            i = (s & -s).bit_length() - 1
+            allowed = _reach_cut(reach, s, i)
+            if not allowed:
+                return rows
+            firsts, outside = branches[i], ~allowed
+        for d0, b0, x0 in firsts:
+            if key & x0:
+                continue
+            ns = s ^ d0
+            if ns == 0:
+                rows.append((b0, x0))
+                continue
+            if ns & outside:
+                continue
+            # the two-entry step from syndrome ns, after the first entry
+            head = key | b0
+            for bits, x in pairs.get(ns, ()):
+                if not head & x:
+                    rows.append((b0 | bits, x0 | x))
+            for d1, b1, x1 in lowest[(ns & -ns).bit_length() - 1]:
+                if d1 & ~ns or head & x1:
+                    continue
+                if d1 == ns:
+                    rows.append((b0 | b1, x0 | x1))
+                    continue
+                child = head | b1
+                for b2, x2 in closers.get(ns ^ d1, ()):
+                    if not child & x2:
+                        rows.append((b0 | b1 | b2, x0 | x1 | x2))
+        return rows
+
+    return complete
 
 
 def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
@@ -470,33 +477,24 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
 
     Every completion below a start is recorded with the start's
     multiplicity, so paths counts the search paths through all orderings
-    that reach the start's key.  A start at depth m_max - 1 (a seed when
-    m_max == 2) closes through one closers lookup of its syndrome.
-
-    A state three entries short of m_max whose syndrome s has at most
-    two bits is not searched below: its completions depend on its key
-    only through the exclusion masks, so they are read from three[s]
-    (_three_rows), whose rows point at two[s'] (_two_rows) for each
-    child syndrome s'.  Both tables belong to this run and are filled
-    the first time a syndrome is met; they keep only syndromes of at
-    most two bits, so each has at most r(r + 1)/2 keys for r checks.
-
-    A three-short state with a larger syndrome branches: it is cut by
-    _reach_cut, once, and each child left in reach goes to close, which
-    makes the lookups of _two_rows without building rows.  So do a
-    table-served state's children with larger syndromes and the starts
-    two entries short.  Serving the children of the branching states
-    from two as well would cost a bit count on every child of the
-    full-Pauli sector's many such states, more than it saves."""
-    branches, closers, pairs, lowest, reach = (
-        problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach
-    )
+    that reach the start's key.  A state with nonzero syndrome and more
+    than three entries left branches; any other state with entries left
+    is finished by the completion routine.  Where its syndrome s has at
+    most two bits, the rows come from a table of this run, filled with
+    the rows for key 0 the first time s is met with that many entries
+    left, and each row is ANDed against the state's key.  The tables
+    keep only syndromes of one or two bits, so each holds at most
+    r(r + 1)/2 keys for r checks.  A state with a larger syndrome, as
+    most are in the full-Pauli sector, is completed under its own key:
+    keeping those syndromes would bound the tables by the search, not by
+    the code."""
+    branches = problem.branches
+    complete = _completer(problem)
     paths = [0] * (m_max + 1)
     found: set[int] = set()
-    top = m_max - 3
     mult = 1
-    two: dict[int, tuple] = {}
-    three: dict[int, tuple] = {}
+    # tables[left], for 1 <= left <= 3: syndrome -> the rows for key 0
+    tables: tuple[dict[int, list], ...] = ({}, {}, {}, {})
 
     def record(key: int) -> None:
         paths[key.bit_count()] += mult
@@ -507,79 +505,39 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
                 )
             found.add(key)
 
-    def close(key: int, s: int) -> None:
-        for bits, excl in pairs.get(s, ()):
+    def finish(key: int, s: int, left: int) -> None:
+        if s.bit_count() > 2:
+            rows = complete(key, s, left)
+        else:
+            rows = tables[left].get(s)
+            if rows is None:
+                rows = tables[left][s] = complete(0, s, left)
+        for bits, excl in rows:
             if not key & excl:
                 record(key | bits)
-        for d1, b1, x1 in lowest[(s & -s).bit_length() - 1]:
-            if d1 & ~s or key & x1:
-                continue
-            if d1 == s:
-                record(key | b1)
-                continue
-            child = key | b1
-            for b2, x2 in closers.get(s ^ d1, ()):
-                if not child & x2:
-                    record(child | b2)
 
-    def close_three(key: int, s: int) -> None:
-        if s.bit_count() > 2:
-            i = (s & -s).bit_length() - 1
-            allowed = _reach_cut(reach, s, i)
-            if not allowed:
-                return
-            outside = ~allowed
-            for ds, bit, excl in branches[i]:
-                if key & excl:
-                    continue
-                ns = s ^ ds
-                if ns == 0:
-                    record(key | bit)
-                elif not ns & outside:
-                    close(key | bit, ns)
-            return
-        table = three.get(s)
-        if table is None:
-            table = three[s] = _three_rows(problem, s, two)
-        rows, direct = table
-        for bit, excl, completions in rows:
-            if not key & excl:
-                child = key | bit
-                for bits, x in completions:
-                    if not child & x:
-                        record(child | bits)
-        for bit, excl, ns in direct:
-            if not key & excl:
-                close(key | bit, ns)
-
-    def go(key: int, s: int, depth: int) -> None:
-        nd = depth + 1
+    def go(key: int, s: int, left: int) -> None:
+        left -= 1
         for ds, bit, excl in branches[(s & -s).bit_length() - 1]:
             if key & excl:
                 continue
             ns = s ^ ds
             if ns == 0:
                 record(key | bit)
-            elif nd < top:
-                go(key | bit, ns, nd)
+            elif left > 3:
+                go(key | bit, ns, left)
             else:
-                close_three(key | bit, ns)
+                finish(key | bit, ns, left)
 
     for key, mult in starts:
         s = _syndrome(key, problem.syn)
-        depth = key.bit_count()
+        left = m_max - key.bit_count()
         if s == 0:
             record(key)
-        elif depth < top:
-            go(key, s, depth)
-        elif depth == top:
-            close_three(key, s)
-        elif depth == top + 1:
-            close(key, s)
-        elif depth < m_max:
-            for b, x in closers.get(s, ()):
-                if not key & x:
-                    record(key | b)
+        elif left > 3:
+            go(key, s, left)
+        elif left:
+            finish(key, s, left)
     return paths, found
 
 
@@ -648,8 +606,8 @@ def enumerate_clusters(
     to max_stored of them, and the shares overlap in the clusters they
     find, so a run on N workers may hold up to N times the cap.  Each
     worker, or the one run, also holds its completion tables, keyed by
-    syndromes of at most two bits, so at most r(r + 1)/2 keys each for r
-    checks, whatever the cap.
+    syndromes of at most two bits, so at most r(r + 1)/2 keys for r
+    checks per number of entries left, whatever the cap.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
@@ -831,8 +789,8 @@ def brute_force_census(
         table = _subset_syndromes(syn_entry)
         orderings = _count_orderings(syn_entry, table)
         if not any(table[s] == 0 for s in range(1, len(table) - 1)):
-            # every irreducible cluster must be constructible
-            assert orderings > 0, "irreducible cluster missed by the ordering rule"
+            if not orderings:
+                raise ClusterBoundsError("irreducible cluster missed by the ordering rule")
             irred[m] += 1
             if not problem.in_degeneracy(entries):
                 nonstab[m] += 1

@@ -6,6 +6,9 @@ of every subset of a word list outright, for checking the echelon,
 residue and kernel routines of gf2.  toric_rows_literal lays out the
 toric code's plaquette and site rows bond by bond, for checking that the
 hypergraph-product construction keeps the lattice's check order.
+cubic_polygons counts the simple cubic lattice's self-avoiding polygons
+by walking them, for checking space-time censuses past brute-force
+reach.
 
 Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
@@ -128,3 +131,37 @@ def toric_rows_literal(L: int) -> tuple[list[int], list[int]]:
             plaquettes.append(sum(1 << j for j in plaq))
             sites.append(sum(1 << j for j in site))
     return plaquettes, sites
+
+
+@lru_cache(maxsize=None)
+def cubic_polygons(m_max: int) -> dict[int, dict[int, int]]:
+    """{m: {h: count}}: the simple cubic lattice's self-avoiding polygons
+    of m <= m_max steps and extent h along the third axis, up to
+    translation.
+
+    Walks from the origin back to it that visit no other site twice
+    count each m-gon 2m times: from each of its sites, in each
+    direction."""
+    steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    origin = (0, 0, 0)
+    walks: dict[tuple[int, int], int] = {}
+
+    def walk(site, visited, length, low, high):
+        length += 1
+        for dx, dy, dz in steps:
+            x, y, z = site[0] + dx, site[1] + dy, site[2] + dz
+            nxt = (x, y, z)
+            if nxt == origin:
+                # two steps back and forth are no polygon
+                if length > 2:
+                    walks[length, high - low] = walks.get((length, high - low), 0) + 1
+            elif nxt not in visited and length + abs(x) + abs(y) + abs(z) <= m_max:
+                visited.add(nxt)
+                walk(nxt, visited, length, min(low, z), max(high, z))
+                visited.remove(nxt)
+
+    walk(origin, {origin}, 0, 0, 0)
+    out: dict[int, dict[int, int]] = {}
+    for (m, h), count in sorted(walks.items()):
+        out.setdefault(m, {})[h] = count // (2 * m)
+    return out

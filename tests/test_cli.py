@@ -1,6 +1,15 @@
+import json
+
 import pytest
 
-from clusterbounds import ChannelParams, CodeParams, enumerate_clusters, threshold_curve, toric_code
+from clusterbounds import (
+    ChannelParams,
+    CodeParams,
+    enumerate_clusters,
+    solve_threshold,
+    threshold_curve,
+    toric_code,
+)
 from clusterbounds.cli import main
 from clusterbounds.matio import read_census_csv, read_matrix, write_csv
 
@@ -213,6 +222,35 @@ class TestThreshold:
         assert out.read_text().splitlines()[3:] == [
             "0,0.5", "0.16666666674427688,0.5", "0.33333333348855376,0",
         ]
+
+    def test_curve_config_names_fixed_rates_and_points(self, capsys):
+        argv = ("threshold", "--model", "ft-css", "--w", "4", "--curve", "y:pZ", "--points", "2")
+        assert run(*argv) == 0
+        bare = capsys.readouterr().out.splitlines()
+        assert run(*argv, "--q", "0.001") == 0
+        fixed = capsys.readouterr().out.splitlines()
+        config = "# config: command=threshold model=ft-css w=4 w_X=None w_Z=None D=inf"
+        assert bare[1] == f"{config} curve=y:pZ points=2"
+        assert fixed[1] == f"{config} q=0.001 curve=y:pZ points=2"
+        # the rows differ, and so must the configs above them
+        assert bare[3].startswith("0,0.0158") and fixed[3].startswith("0,0.0120")
+
+    def test_curve_config_names_the_default_point_count(self, capsys):
+        assert run("threshold", "--model", "css", "--w", "4", "--curve", "y:pZ") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith(" curve=y:pZ points=21")
+        assert len(lines[3:]) == 21
+
+    def test_solve_json_config_names_fixed_rates(self, tmp_path):
+        out = tmp_path / "res.json"
+        assert run("threshold", "--model", "css", "--w", "4", "--solve", "p", "--y", "0.1",
+                   "-o", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"] == {
+            "command": "threshold", "model": "css", "w": 4, "w_X": None, "w_Z": None,
+            "D": "inf", "y": 0.1, "solve": "p",
+        }
+        assert doc["result"]["p"] == solve_threshold(CodeParams(w=4), "p", ChannelParams(y=0.1))
 
     @pytest.mark.parametrize("D", ["abc", "nan"])
     def test_bad_distance_constant(self, capsys, D):

@@ -9,9 +9,11 @@ import pytest
 from conftest import make_random_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cubic_polygons
 
 from clusterbounds import (
     Cluster,
+    ClusterBoundsError,
     PauliOp,
     ResourceCapError,
     ValidationError,
@@ -189,6 +191,14 @@ class TestEnumerate:
         # 165,045 table rows and lookups, against 15,886,503 configurations
         census = brute_force_census(toric3, 6, sector="full", guard=10**6)
         assert census.same_counts(enumerate_clusters(toric3, 6, sector="full"))
+
+    def test_bruteforce_refuses_an_irreducible_cluster_with_no_ordering(self, toric2):
+        # an explicit error, not an assert, so python -O keeps the check
+        with (
+            patch.object(clusters_module, "_count_orderings", lambda *args: 0),
+            pytest.raises(ClusterBoundsError, match="missed by the ordering rule"),
+        ):
+            brute_force_census(toric2, 4, sector="x")
 
     def test_only_exact_sector_names(self, toric2):
         for sector in ("X-type", "Full", " x", "full-pauli"):
@@ -530,6 +540,37 @@ class TestSelfAvoidingCycleCorrespondence:
         assert census.irreducible_nonstabilizer == (0,) * 11
 
 
+class TestSpaceTimePolygons:
+    """The x-sector space-time code of toric L over T rounds is the
+    edge-vertex incidence of an L x L x T slab, periodic in space and open
+    in time, so its irreducible clusters are simple cycles.  Below weight
+    L none wraps space, so each is a cubic-lattice polygon of time extent
+    h < T, placed at one of L^2 (T - h) sites."""
+
+    def test_walker_totals(self):
+        polygons = cubic_polygons(10)
+        # per site: OEIS A001413 over 2m; in one plane: A002931
+        per_site = {m: sum(c.values()) for m, c in polygons.items()}
+        in_plane = {m: c[0] for m, c in polygons.items()}
+        assert per_site == {4: 3, 6: 22, 8: 207, 10: 2412}
+        assert in_plane == {4: 1, 6: 2, 8: 7, 10: 28}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("L, T, m_max", [(7, 4, 6), (9, 3, 8)])
+    def test_ft_irreducible_clusters_are_cubic_polygons(self, L, T, m_max, workers):
+        polygons = cubic_polygons(m_max)
+        expected = tuple(
+            L * L * sum((T - h) * c for h, c in polygons.get(m, {}).items() if h < T)
+            for m in range(m_max + 1)
+        )
+        if L == 9:
+            assert expected[4::2] == (567, 3564, 28107)
+        code = ft_extend(toric_code(L), T, errors="x")
+        census = enumerate_clusters(code, m_max, sector="ft", workers=workers)
+        assert census.irreducible == expected
+        assert census.irreducible_nonstabilizer == (0,) * (m_max + 1)
+
+
 def labelled(cluster):
     """(position, label) pairs of a cluster; the label is None for a
     binary cluster."""
@@ -687,7 +728,8 @@ def ordered_completions(problem, s, taken, left):
 
 
 class TestCompletionTables:
-    """The per-syndrome tables that close the search's last three entries."""
+    """The completion routine that finishes the search's last three
+    entries, directly or from its per-syndrome tables."""
 
     def test_rows_match_ordered_completions(self):
         met_direct = []
@@ -711,22 +753,23 @@ class TestCompletionTables:
                     code, sector = ft_extend(code, 2, errors=which[3:]), "ft"
             problem = _build_problem(code, sector)
             width, syn = problem.width, problem.syn
-            two, three = {}, {}
+            completer = clusters_module._completer
+            complete = completer(problem)
+            calls = []
 
-            def keep(table, build):
-                def built(problem, s, *rest):
-                    table[s] = build(problem, s, *rest)
-                    return table[s]
+            def spying(problem):
+                inner = completer(problem)
 
-                return built
+                def spy(key, s, left):
+                    calls.append((key, s, left))
+                    return inner(key, s, left)
+
+                return spy
 
             # a small budget leaves states three short of the cap to the search
             with (
                 patch.object(clusters_module, "_FRONTIER_BUDGET", budget),
-                patch.object(clusters_module, "_two_rows", keep(two, clusters_module._two_rows)),
-                patch.object(
-                    clusters_module, "_three_rows", keep(three, clusters_module._three_rows)
-                ),
+                patch.object(clusters_module, "_completer", spying),
             ):
                 census = enumerate_clusters(code, m_max, sector=sector)
             assert census.same_counts(brute_force_census(code, m_max, sector=sector))
@@ -735,36 +778,35 @@ class TestCompletionTables:
                 masks = (((1 << width) - 1) << (e - e % width) for e in entries)
                 return sum(1 << e for e in entries), reduce(or_, masks, 0)
 
-            assert all(0 < s.bit_count() <= 2 for s in (*two, *three))
-            for s, rows in two.items():
-                expected = [key_and_mask(c) for c in ordered_completions(problem, s, set(), 2)]
-                assert Counter(rows) == Counter(expected)
-            for s, (rows, direct) in three.items():
-                table, deferred = [], []
-                for e1, *rest in ordered_completions(problem, s, set(), 3):
-                    ns = s ^ syn[e1]
-                    if ns.bit_count() <= 2:
-                        table.append((1 << e1, key_and_mask(rest)[0]))
-                    elif all(e1 != e for e, _ in deferred):
-                        deferred.append((e1, ns))
-                served = []
-                for bit, excl, completions in rows:
-                    e1 = bit.bit_length() - 1
-                    ns = s ^ syn[e1]
-                    assert (bit, excl) == key_and_mask([e1])
-                    assert completions is (two[ns] if ns else clusters_module._DONE)
-                    fits = [(bit, bits) for bits, x in completions if not bit & x]
-                    assert fits
-                    served += fits
-                assert Counter(served) == Counter(table)
-                # a first entry with a larger child syndrome is kept whether
-                # or not the child completes
-                branches = problem.branches[(s & -s).bit_length() - 1]
-                assert Counter(direct) == Counter(
-                    (bit, excl, s ^ ds) for ds, bit, excl in branches if (s ^ ds).bit_count() > 2
-                )
-                assert {(b.bit_length() - 1, ns) for b, _, ns in direct} >= set(deferred)
-            met_direct.append(any(direct for _, direct in three.values()))
+            def assert_rows(key, s, left):
+                rows = Counter(complete(key, s, left))
+                taken = {e // width for e in clusters_module._entries(key)}
+                completions = ordered_completions(problem, s, taken, left)
+                assert rows == Counter(key_and_mask(c) for c in completions)
+                # the rows for key 0 whose masks miss key are the rows for key
+                assert rows == Counter(r for r in complete(0, s, left) if not key & r[1])
+
+            # a table is filled under key 0, once per syndrome and entries
+            # left, and only for syndromes of one or two bits; every other
+            # state is completed under its own, nonempty key
+            fills = [(s, left) for key, s, left in calls if not key]
+            direct = [(key, s, left) for key, s, left in calls if key]
+            assert len(set(fills)) == len(fills)
+            assert all(0 < s.bit_count() <= 2 and 1 <= left <= 3 for s, left in fills)
+            assert all(s.bit_count() > 2 and 1 <= left <= 3 for _, s, left in direct)
+            met_direct.append(bool(direct))
+            for s, left in fills:
+                assert_rows(0, s, left)
+            for key, s, left in direct[:: max(1, len(direct) // 10)]:
+                assert_rows(key, s, left)
+            # random partial clusters, with syndromes of any size
+            n = len(syn) // width
+            for _ in range(20):
+                used = rng.sample(range(n), rng.randint(1, min(4, n)))
+                key = sum(1 << (width * j + rng.randrange(width)) for j in used)
+                s = clusters_module._syndrome(key, syn)
+                if s:
+                    assert_rows(key, s, rng.randint(1, 3))
 
         check()
         assert any(met_direct)
