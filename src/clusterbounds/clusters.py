@@ -66,12 +66,28 @@ processes split it.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
-disjoint supports) and as a member of the degeneracy group or not.  Both
-tests go through gf2.echelon: a weight-m cluster is irreducible when its
-entries' syndrome words have rank m - 1, and it is degenerate when the
-XOR of one word per entry, (v|u) for a Pauli label and the column bit
-for a binary entry, has zero residue by the degeneracy group's echelon.
-decompose splits a cluster along gf2.kernel vectors.
+disjoint supports) and as a member of the degeneracy group or not.  A
+weight-m cluster is irreducible when its entries' syndrome words have
+rank m - 1.  A sector is graph-like when every position holds one entry
+and every entry flips at most two checks (the toric code's single
+sectors and its space-time code, planar hypergraph products): an entry
+is an edge between its two checks, or from its one check to a boundary.
+The repair rule places every entry on a check that an earlier entry left
+violated, so a recorded cluster is connected, and its words have rank
+V - 1 + b, for V checks touched and b = 1 if some entry flips one check.
+So the census counts the cluster irreducible when m = 1 (an entry that
+flips no check) or V + b = m, and takes the rank from gf2.echelon in
+every other sector.  A cluster's word is the XOR of one word per entry,
+(v|u) for a Pauli label and the column bit for a binary entry, so a
+binary cluster's word is its key.  An undetectable word lies in the
+degeneracy group exactly when it meets every vector of the degeneracy
+rows' kernel evenly, and the kernel vectors inside the checks' span meet
+every undetectable word evenly.  So the census tests one kernel vector
+per class modulo the checks' span: k of them in a single sector, K in
+the space-time code and 2k in the full sector.  is_irreducible keeps the
+rank by gf2.echelon, decompose splits along gf2.kernel vectors, and the
+brute-force census tests subsets and the residue by the degeneracy rows'
+echelon basis, so each checks the census's rules independently.
 
 The brute-force census reproduces all four per-weight counts
 independently: the zero-sum scanner gf2.zero_sum_choices, which also
@@ -195,8 +211,17 @@ class _Problem:
     # per check in search order: the OR of the syndrome words of every
     # entry that flips it, the checks an entry placed there can touch
     reach: tuple
+    # in a graph-like sector (width 1, no word of more than two bits):
+    # key bit -> syndrome word of every entry; None in any other sector
+    edges: dict | None
+    # key bits of the entries that flip exactly one check
+    boundary: int
     # echelon basis of the degeneracy group's rows
     degeneracy: dict
+    # one vector per class of the degeneracy rows' kernel modulo the
+    # checks' span: an undetectable word lies in the degeneracy group
+    # exactly when it meets each of them evenly
+    parities: tuple
     # m -> closed-form ceiling on the weight-m recursion paths
     bound: partial
 
@@ -221,11 +246,15 @@ class _Problem:
             raise ValidationError(f"Pauli labels must be X, Y or Z, got {cluster.paulis}")
         return tuple(3 * j + lab for j, lab in zip(cluster.positions, labels))
 
-    def in_degeneracy(self, entries) -> bool:
+    def word(self, entries) -> int:
+        """The XOR of the entries' words in the degeneracy group's space."""
         word = 0
         for e in entries:
             word ^= self.deg[e]
-        return not residue(self.degeneracy, word)
+        return word
+
+    def in_degeneracy(self, entries) -> bool:
+        return not residue(self.degeneracy, self.word(entries))
 
 
 def _entries(key: int) -> list[int]:
@@ -338,6 +367,14 @@ def _problem(
                 shared, w = d1 & d2, d1 ^ d2
                 if (shared & -shared) >> i == 1 and d1 & w & -w and not b1 & x2:
                     pairs.setdefault(w, []).append((b1 | b2, x1 | x2))
+    # the check rows must lie in the degeneracy rows' kernel; then the
+    # kernel vectors that give the checks' echelon basis new keys are a
+    # basis of that kernel modulo the checks
+    kernel_words = [v.bits for v in degeneracy.kernel_basis()]
+    checks = echelon(check_rows)
+    basis = echelon([*check_rows, *kernel_words])
+    if len(basis) > len(kernel_words):
+        raise ValidationError("every degeneracy row must be undetectable by the checks")
     return _Problem(
         width=width,
         syn=tuple(syn),
@@ -347,7 +384,14 @@ def _problem(
         pairs=pairs,
         lowest=tuple(tuple(low) for low in lowest),
         reach=tuple(reduce(or_, (ds for ds, _, _ in flipping), 0) for flipping in branches),
+        edges=(
+            {1 << e: s for e, s in enumerate(syn)}
+            if width == 1 and all(s.bit_count() <= 2 for s in syn)
+            else None
+        ),
+        boundary=sum(1 << e for e, s in enumerate(syn) if s.bit_count() == 1),
         degeneracy=echelon(degeneracy.rows),
+        parities=tuple(row for top, row in basis.items() if top not in checks),
         bound=bound,
     )
 
@@ -567,17 +611,32 @@ def _classify(problem: _Problem, keys, paths: list[int], keep: bool) -> ClusterC
     irred = [0] * (m_max + 1)
     nonstab = [0] * (m_max + 1)
     kept: list[list[Cluster]] | None = [[] for _ in range(m_max + 1)] if keep else None
-    syn = problem.syn
+    syn, edges, boundary, parities = problem.syn, problem.edges, problem.boundary, problem.parities
+    binary = problem.width == 1
     for key in keys:
-        entries = _entries(key)
-        m = len(entries)
+        m = key.bit_count()
         distinct[m] += 1
-        if m - len(echelon([syn[e] for e in entries])) == 1:
+        if edges is None:
+            entries = _entries(key)
+            irreducible = m - len(echelon([syn[e] for e in entries])) == 1
+        else:
+            # rank V - 1 + b, as the module docstring derives
+            touched, rest = 0, key
+            while rest:
+                low = rest & -rest
+                touched |= edges[low]
+                rest ^= low
+            irreducible = m == 1 or touched.bit_count() + bool(key & boundary) == m
+        if irreducible:
             irred[m] += 1
-            if not problem.in_degeneracy(entries):
-                nonstab[m] += 1
+            # the full sector has no edges, so its entries are listed
+            word = key if binary else problem.word(entries)
+            for p in parities:
+                if (word & p).bit_count() & 1:
+                    nonstab[m] += 1
+                    break
         if kept is not None:
-            kept[m].append(problem.cluster_of(entries))
+            kept[m].append(problem.cluster_of(_entries(key)))
     return _census(distinct, irred, nonstab, paths, kept)
 
 
@@ -653,10 +712,12 @@ def enumerate_clusters(
 
 
 def _columns(code, cluster: Cluster, sector: str):
-    """The problem, entries and per-entry syndrome words of an
+    """The problem, entries and per-entry syndrome words of a nonempty
     undetectable cluster."""
     problem = _build_problem(code, sector)
     entries = problem.entries_of_cluster(cluster)
+    if not entries:
+        raise ValidationError("cluster has no entries")
     cols = [problem.syn[e] for e in entries]
     syn = 0
     for c in cols:

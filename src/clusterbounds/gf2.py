@@ -178,13 +178,13 @@ class BitMatrix:
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            w = 0
-            for i, r in enumerate(self.rows):
-                if (r >> j) & 1:
-                    w |= 1 << i
-            cols.append(w)
+        """One step per set bit: bit j of row i sets bit i of column j."""
+        cols = [0] * self.cols
+        for i, r in enumerate(self.rows):
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= 1 << i
+                r ^= low
         return BitMatrix(tuple(cols), len(self.rows))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":

@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from functools import reduce
-from operator import or_
+from operator import or_, xor
 from unittest.mock import patch
 
 import pytest
@@ -26,6 +26,7 @@ from clusterbounds import (
     decompose,
     enumerate_clusters,
     ft_extend,
+    ft_extend_matrices,
     hypergraph_product,
     is_irreducible,
     is_irreducible_bruteforce,
@@ -35,7 +36,8 @@ from clusterbounds import (
 )
 import clusterbounds.clusters as clusters_module
 from clusterbounds.clusters import _build_problem, _frontier
-from clusterbounds.gf2 import BitMatrix, BitVector
+from clusterbounds.codes import CssCode
+from clusterbounds.gf2 import BitMatrix, BitVector, echelon, residue
 
 
 def plaquette_supports(code):
@@ -199,6 +201,12 @@ class TestEnumerate:
             pytest.raises(ClusterBoundsError, match="missed by the ordering rule"),
         ):
             brute_force_census(toric2, 4, sector="x")
+
+    def test_degeneracy_rows_must_be_undetectable(self, toric2):
+        # unit rows flip the checks of their column
+        ft = ft_extend_matrices(toric2.G_Z, BitMatrix.identity(toric2.n), 2)
+        with pytest.raises(ValidationError, match="undetectable"):
+            enumerate_clusters(ft, 2, sector="ft")
 
     def test_only_exact_sector_names(self, toric2):
         for sector in ("X-type", "Full", " x", "full-pauli"):
@@ -401,6 +409,12 @@ class TestMalformedClusters:
     def test_position_beyond_code(self, toric2, check):
         with pytest.raises(ValidationError):
             check(toric2, Cluster((toric2.n,)), "x")
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("cluster, sector", [(Cluster(()), "x"), (Cluster((), ()), "full")])
+    def test_empty_cluster(self, toric3, check, cluster, sector):
+        with pytest.raises(ValidationError, match="no entries"):
+            check(toric3, cluster, sector)
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_negative_position(self, toric2, check):
@@ -810,3 +824,146 @@ class TestCompletionTables:
 
         check()
         assert any(met_direct)
+
+
+def random_graph_checks(rng, rows, cols):
+    """A random check matrix whose columns flip at most two checks, with
+    columns of weight 0, 1 and 2 and one column repeated."""
+    columns = [rng.sample(range(rows), rng.randint(0, min(2, rows))) for _ in range(cols)]
+    columns.append(rng.choice(columns))
+    return BitMatrix(
+        tuple(sum(1 << j for j, col in enumerate(columns) if i in col) for i in range(rows)),
+        len(columns),
+    )
+
+
+class TestGraphLikeClassification:
+    """Where every entry flips at most two checks, the census counts the
+    checks a recorded cluster touches instead of eliminating."""
+
+    def test_counts_match_elimination(self):
+        seen = Counter()
+
+        @settings(max_examples=100, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            rows=st.integers(1, 4),
+            cols=st.integers(1, 5),
+            rounds=st.integers(1, 3),
+            m_max=st.integers(1, 6),
+        )
+        def check(seed, rows, cols, rounds, m_max):
+            rng = random.Random(seed)
+            H = random_graph_checks(rng, rows, cols)
+            G = BitMatrix(tuple(v.bits for v in H.kernel_basis() if rng.random() < 0.5), H.cols)
+            code = ft_extend_matrices(H, G, rounds)
+            problem = _build_problem(code, "ft")
+            assert problem.edges is not None
+            starts = _frontier(problem.branches, problem.syn, m_max, 2048).items()
+            paths, found = clusters_module._run_seeds(problem, starts, m_max, 10**6)
+            census = clusters_module._classify(problem, found, paths, False)
+            degeneracy = echelon(code.Q.rows)
+            expected = {f: [0] * (m_max + 1) for f in ("distinct", "irreducible", "nonstab")}
+            for key in found:
+                words = [problem.syn[e] for e in clusters_module._entries(key)]
+                m = len(words)
+                expected["distinct"][m] += 1
+                if m - len(echelon(words)) == 1:
+                    expected["irreducible"][m] += 1
+                    expected["nonstab"][m] += residue(degeneracy, key) != 0
+                    seen["weight one"] += m == 1
+                    seen["boundary"] += any(w.bit_count() == 1 for w in words)
+                    seen["stabilizer"] += not residue(degeneracy, key)
+                else:
+                    seen["reducible"] += 1
+            assert census.distinct == tuple(expected["distinct"])
+            assert census.irreducible == tuple(expected["irreducible"])
+            assert census.irreducible_nonstabilizer == tuple(expected["nonstab"])
+
+        check()
+        assert all(seen[k] for k in ("weight one", "boundary", "stabilizer", "reducible"))
+
+
+class TestDegeneracyParities:
+    """An undetectable word is in the degeneracy group exactly when it
+    meets each of the problem's parity vectors evenly."""
+
+    def test_parities_agree_with_the_row_space(self):
+        seen = set()
+
+        @settings(max_examples=100, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            which=st.sampled_from(["full", "x", "z", "ft-x", "ft-z", "five", "five-y"]),
+            shapes=st.tuples(random_shapes(3, 5), random_shapes(3, 5)),
+            rounds=st.integers(1, 3),
+        )
+        def check(seed, which, shapes, rounds):
+            rng = random.Random(seed)
+            if which.startswith("five"):
+                code, sector = five_qubit_code(which == "five-y"), "full"
+            else:
+                code = hypergraph_product(*(make_random_matrix(rng, *s) for s in shapes))
+                sector = which
+                if which.startswith("ft-"):
+                    code, sector = ft_extend(code, rounds, errors=which[3:]), "ft"
+            if sector == "full":
+                stab = code.stabilizer if isinstance(code, CssCode) else code
+                checks, degeneracy, count = stab.H, stab.G, 2 * stab.k
+            elif sector == "ft":
+                checks, degeneracy, count = code.P, code.Q, code.K
+            else:
+                (checks, degeneracy), count = code.sector(sector), code.k
+            parities = _build_problem(code, sector).parities
+            assert len(parities) == count
+            undetectable = [v.bits for v in checks.kernel_basis()]
+            for _ in range(20):
+                # a degeneracy word, plus an undetectable word half the time
+                word = reduce(xor, (r for r in degeneracy.rows if rng.random() < 0.5), 0)
+                if rng.random() < 0.5:
+                    word ^= reduce(xor, (v for v in undetectable if rng.random() < 0.5), 0)
+                even = not any((word & p).bit_count() & 1 for p in parities)
+                assert even == degeneracy.row_space_contains(BitVector(degeneracy.cols, word))
+                seen.add(even)
+
+        check()
+        assert seen == {True, False}
+
+
+def planar_code():
+    """The [[13, 1, 3]] planar code, the hypergraph product of two 2 x 3
+    repetition check matrices; its entries at the open ends flip one
+    check."""
+    rep = BitMatrix((0b011, 0b110), 3)
+    return hypergraph_product(rep, rep)
+
+
+class TestBoundaryEntries:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sector, m_max, boundary", [("x", 6, 6), ("z", 6, 6), ("ft", 5, 12)])
+    def test_planar_census_matches_bruteforce(self, sector, m_max, boundary, workers):
+        code = planar_code()
+        if sector == "ft":
+            code = ft_extend(code, 2, errors="x")
+        problem = _build_problem(code, sector)
+        assert problem.edges is not None
+        assert problem.boundary.bit_count() == boundary
+        census = enumerate_clusters(code, m_max, sector=sector, workers=workers)
+        assert census.same_counts(brute_force_census(code, m_max, sector=sector))
+        # the shortest logicals run from one open end to the other
+        assert census.irreducible_nonstabilizer[3] > 0
+
+    def test_which_sectors_are_graph_like(self, toric3):
+        for code, sector in (
+            (toric3, "x"),
+            (toric3, "z"),
+            (ft_extend(toric3, 3, errors="x"), "ft"),
+            (ft_extend(toric3, 3, errors="z"), "ft"),
+        ):
+            assert _build_problem(code, sector).edges is not None
+        assert _build_problem(toric3, "full").edges is None
+        rng = random.Random(5)
+        code = hypergraph_product(make_random_matrix(rng, 1, 3, 3), make_random_matrix(rng, 2, 3, 2))
+        problem = _build_problem(code, "x")
+        assert max(s.bit_count() for s in problem.syn) == 3
+        assert problem.edges is None

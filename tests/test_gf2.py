@@ -205,6 +205,14 @@ class TestMatmulStack:
         m = random_bitmatrix(rng, 4, 6)
         assert m.transpose().transpose() == m
 
+    def test_transpose_swaps_entries(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            m = random_bitmatrix(rng, rng.randint(0, 6), rng.randint(0, 70))
+            t = m.transpose()
+            assert t.shape == (m.cols, m.nrows)
+            assert all(t.row(j)[i] == m.row(i)[j] for i in range(m.nrows) for j in range(m.cols))
+
     def test_hstack_vstack(self):
         a = BitMatrix.from_lists([[1, 0], [0, 1]])
         b = BitMatrix.from_lists([[1, 1], [0, 0]])
