@@ -71,20 +71,25 @@ weight-m cluster is irreducible when its entries' syndrome words have
 rank m - 1.  A sector is graph-like when every position holds one entry
 and every entry flips at most two checks (the toric code's single
 sectors and its space-time code, planar hypergraph products): an entry
-is an edge between its two checks, or from its one check to a boundary.
-The repair rule places every entry on a check that an earlier entry left
-violated, so a recorded cluster is connected, and its words have rank
-V - 1 + b, for V checks touched and b = 1 if some entry flips one check.
-So the census counts the cluster irreducible when m = 1 (an entry that
-flips no check) or V + b = m, and takes the rank from gf2.echelon in
-every other sector.  A cluster's word is the XOR of one word per entry,
-(v|u) for a Pauli label and the column bit for a binary entry, so a
-binary cluster's word is its key.  An undetectable word lies in the
-degeneracy group exactly when it meets every vector of the degeneracy
-rows' kernel evenly, and the kernel vectors inside the checks' span meet
-every undetectable word evenly.  So the census tests one kernel vector
-per class modulo the checks' span: k of them in a single sector, K in
-the space-time code and 2k in the full sector.  is_irreducible keeps the
+is an edge between its two checks, or from its one check to a phantom
+check one bit past the last, and an entry that flips no check is a loop
+at the phantom.  Every edge then has two ends, so the words of a
+connected cluster have rank V - 1 for the V checks it touches, phantom
+included.  The repair rule places every entry on a check that an earlier
+entry left violated, so a recorded cluster is connected, and the census
+counts it irreducible exactly when V = m.  In every other sector it
+takes the rank from gf2.echelon.  A cluster's word is the XOR of one
+word per entry, (v|u) for a Pauli label and the column bit for a binary
+entry.  An undetectable word lies in the degeneracy group exactly when
+it meets every vector of the degeneracy rows' kernel evenly, and the
+kernel vectors inside the checks' span meet every undetectable word
+evenly.  So the census tests one kernel vector per class modulo the
+checks' span: k of them in a single sector, K in the space-time code and
+2k in the full sector.  A cluster's word meets such a vector oddly
+exactly when an odd number of its entries' words do, so each vector is
+kept as the key mask of those entries, in a binary sector the vector
+itself, and every sector tests a cluster by the parity of its key under
+each mask.  is_irreducible keeps the
 rank by gf2.echelon, decompose splits along gf2.kernel vectors, and the
 brute-force census tests subsets and the residue by the degeneracy rows'
 echelon basis, so each checks the census's rules independently.
@@ -106,11 +111,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import islice
 from math import comb
-from operator import or_
+from operator import or_, xor
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
 from .errors import ClusterBoundsError, ResourceCapError, ValidationError
-from .gf2 import BitMatrix, echelon, kernel, residue, zero_sum_choices, zero_sum_work
+from .gf2 import BitMatrix, echelon, kernel, residue, set_bits, zero_sum_choices, zero_sum_work
 
 DEFAULT_CLUSTER_CAP = 10**7
 # partial clusters held between the breadth-first and the depth-first
@@ -212,15 +217,16 @@ class _Problem:
     # entry that flips it, the checks an entry placed there can touch
     reach: tuple
     # in a graph-like sector (width 1, no word of more than two bits):
-    # key bit -> syndrome word of every entry; None in any other sector
+    # key bit -> syndrome word of every entry, with a phantom check one
+    # bit past the last for an entry that flips fewer than two checks;
+    # None in any other sector
     edges: dict | None
-    # key bits of the entries that flip exactly one check
-    boundary: int
     # echelon basis of the degeneracy group's rows
     degeneracy: dict
-    # one vector per class of the degeneracy rows' kernel modulo the
-    # checks' span: an undetectable word lies in the degeneracy group
-    # exactly when it meets each of them evenly
+    # one key mask per class of the degeneracy rows' kernel modulo the
+    # checks' span, setting the entries whose words meet the class's
+    # vector oddly: an undetectable cluster lies in the degeneracy group
+    # exactly when its key meets each of them evenly
     parities: tuple
     # m -> closed-form ceiling on the weight-m recursion paths
     bound: partial
@@ -246,33 +252,14 @@ class _Problem:
             raise ValidationError(f"Pauli labels must be X, Y or Z, got {cluster.paulis}")
         return tuple(3 * j + lab for j, lab in zip(cluster.positions, labels))
 
-    def word(self, entries) -> int:
-        """The XOR of the entries' words in the degeneracy group's space."""
-        word = 0
-        for e in entries:
-            word ^= self.deg[e]
-        return word
-
     def in_degeneracy(self, entries) -> bool:
-        return not residue(self.degeneracy, self.word(entries))
-
-
-def _entries(key: int) -> list[int]:
-    """Indices of the set bits of a word (a cluster key's entries), ascending."""
-    out = []
-    while key:
-        low = key & -key
-        out.append(low.bit_length() - 1)
-        key ^= low
-    return out
+        """Whether the XOR of the entries' words lies in the degeneracy group."""
+        return not residue(self.degeneracy, reduce(xor, (self.deg[e] for e in entries), 0))
 
 
 def _syndrome(key: int, syn) -> int:
     """Syndrome word of a cluster key: the XOR of its entries' words."""
-    s = 0
-    for e in _entries(key):
-        s ^= syn[e]
-    return s
+    return reduce(xor, (syn[e] for e in set_bits(key)), 0)
 
 
 # every caller works on one code at a time, and a large code's problem
@@ -335,12 +322,12 @@ def _problem(
     # is taken over the entries holding those bits
     holders: dict[int, list[int]] = {}
     for e, w in enumerate(words):
-        for b in _entries(w):
+        for b in set_bits(w):
             holders.setdefault(b, []).append(e)
     flips = []
     for row in check_rows:
         odd: set[int] = set()
-        for b in _entries(row):
+        for b in set_bits(row):
             odd.symmetric_difference_update(holders.get(b, ()))
         flips.append(sorted(odd))
     order = sorted(range(len(flips)), key=lambda i: (len({e // width for e in flips[i]}), i))
@@ -385,13 +372,16 @@ def _problem(
         lowest=tuple(tuple(low) for low in lowest),
         reach=tuple(reduce(or_, (ds for ds, _, _ in flipping), 0) for flipping in branches),
         edges=(
-            {1 << e: s for e, s in enumerate(syn)}
+            {1 << e: s if s.bit_count() == 2 else s | 1 << len(order) for e, s in enumerate(syn)}
             if width == 1 and all(s.bit_count() <= 2 for s in syn)
             else None
         ),
-        boundary=sum(1 << e for e, s in enumerate(syn) if s.bit_count() == 1),
         degeneracy=echelon(degeneracy.rows),
-        parities=tuple(row for top, row in basis.items() if top not in checks),
+        parities=tuple(
+            sum(1 << e for e, w in enumerate(words) if (w & p).bit_count() & 1)
+            for top, p in basis.items()
+            if top not in checks
+        ),
         bound=bound,
     )
 
@@ -611,32 +601,29 @@ def _classify(problem: _Problem, keys, paths: list[int], keep: bool) -> ClusterC
     irred = [0] * (m_max + 1)
     nonstab = [0] * (m_max + 1)
     kept: list[list[Cluster]] | None = [[] for _ in range(m_max + 1)] if keep else None
-    syn, edges, boundary, parities = problem.syn, problem.edges, problem.boundary, problem.parities
-    binary = problem.width == 1
+    syn, edges, parities = problem.syn, problem.edges, problem.parities
     for key in keys:
         m = key.bit_count()
         distinct[m] += 1
         if edges is None:
-            entries = _entries(key)
-            irreducible = m - len(echelon([syn[e] for e in entries])) == 1
+            irreducible = m - len(echelon([syn[e] for e in set_bits(key)])) == 1
         else:
-            # rank V - 1 + b, as the module docstring derives
+            # rank V - 1 for V checks touched, phantom included, as the
+            # module docstring derives; the one hot set-bit walk
             touched, rest = 0, key
             while rest:
                 low = rest & -rest
                 touched |= edges[low]
                 rest ^= low
-            irreducible = m == 1 or touched.bit_count() + bool(key & boundary) == m
+            irreducible = touched.bit_count() == m
         if irreducible:
             irred[m] += 1
-            # the full sector has no edges, so its entries are listed
-            word = key if binary else problem.word(entries)
             for p in parities:
-                if (word & p).bit_count() & 1:
+                if (key & p).bit_count() & 1:
                     nonstab[m] += 1
                     break
         if kept is not None:
-            kept[m].append(problem.cluster_of(_entries(key)))
+            kept[m].append(problem.cluster_of(set_bits(key)))
     return _census(distinct, irred, nonstab, paths, kept)
 
 
@@ -719,10 +706,7 @@ def _columns(code, cluster: Cluster, sector: str):
     if not entries:
         raise ValidationError("cluster has no entries")
     cols = [problem.syn[e] for e in entries]
-    syn = 0
-    for c in cols:
-        syn ^= c
-    if syn:
+    if reduce(xor, cols, 0):
         raise ValidationError("cluster is detectable, not undetectable")
     return problem, entries, cols
 
@@ -761,9 +745,9 @@ def decompose(code, cluster: Cluster, sector: str = "full") -> tuple[Cluster, ..
         x = next((x for x in kernel([cols[i] for i in entry_idx]) if x != full), None)
         if x is None:
             return [entry_idx]
-        left = [entry_idx[i] for i in range(m) if (x >> i) & 1]
-        right = [entry_idx[i] for i in range(m) if not (x >> i) & 1]
-        return split(left) + split(right)
+        return split([entry_idx[i] for i in set_bits(x)]) + split(
+            [entry_idx[i] for i in set_bits(full ^ x)]
+        )
 
     parts = split(list(range(len(entries))))
     return tuple(problem.cluster_of([entries[i] for i in sorted(part)]) for part in parts)

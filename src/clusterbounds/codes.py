@@ -310,8 +310,8 @@ class FtCode:
 def ft_extend_matrices(H: BitMatrix, G: BitMatrix, m: int, d: int | None = None) -> FtCode:
     """Build the combined code from a (checks, degeneracy) pair.
 
-    For m = 1 the syndrome block is empty and the construction returns
-    the bare pair.
+    Every degeneracy row must be undetectable, H G^T = 0.  For m = 1 the
+    syndrome block is empty and the construction returns the bare pair.
     """
     if m < 1:
         raise ValidationError(f"need at least one measurement round, got {m}")
@@ -319,6 +319,9 @@ def ft_extend_matrices(H: BitMatrix, G: BitMatrix, m: int, d: int | None = None)
     r, n = H.shape
     if G.cols != n:
         raise ValidationError("H and G must act on the same columns")
+    for i, g in enumerate(G.rows):
+        if any((h & g).bit_count() & 1 for h in H.rows):
+            raise ValidationError(f"degeneracy row {i} is detectable, not undetectable")
     im = BitMatrix.identity(m)
     if m == 1:
         P = H

@@ -5,6 +5,9 @@ of a row word is column j.  XOR, popcount and hashing are cheap at any
 width, and equal values compare and hash equal, so they can be used as
 set/dict keys and shared freely across threads or processes.
 
+set_bits is the one walk over a word's set bits, one step per set bit;
+every other routine that visits set bits goes through it.
+
 echelon is the one elimination: a basis keyed by each row's highest
 bit.  residue reduces a word by it (0 exactly for span members), and
 kernel runs it on tagged words to read off kernel vectors.  Rank, row
@@ -87,7 +90,7 @@ class BitVector:
         return self.bits.bit_count()
 
     def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if (self.bits >> j) & 1)
+        return tuple(set_bits(self.bits))
 
     def dot(self, other: "BitVector") -> int:
         """Inner product mod 2."""
@@ -178,13 +181,11 @@ class BitMatrix:
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        """One step per set bit: bit j of row i sets bit i of column j."""
+        """Bit j of row i sets bit i of column j."""
         cols = [0] * self.cols
         for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
+            for j in set_bits(r):
+                cols[j] |= 1 << i
         return BitMatrix(tuple(cols), len(self.rows))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
@@ -193,13 +194,8 @@ class BitMatrix:
         out = []
         for r in self.rows:
             acc = 0
-            j = 0
-            rr = r
-            while rr:
-                if rr & 1:
-                    acc ^= other.rows[j]
-                rr >>= 1
-                j += 1
+            for j in set_bits(r):
+                acc ^= other.rows[j]
             out.append(acc)
         return BitMatrix(tuple(out), other.cols)
 
@@ -217,15 +213,11 @@ class BitMatrix:
         oc = other.cols
         out = []
         for a in self.rows:
+            shifts = [j * oc for j in set_bits(a)]
             for b in other.rows:
                 w = 0
-                aa = a
-                j = 0
-                while aa:
-                    if aa & 1:
-                        w |= b << (j * oc)
-                    aa >>= 1
-                    j += 1
+                for shift in shifts:
+                    w |= b << shift
                 out.append(w)
         return BitMatrix(tuple(out), self.cols * oc)
 
@@ -248,6 +240,16 @@ class BitMatrix:
         """Whether x is a GF(2) combination of the rows."""
         _require_same_len(self.cols, x.n)
         return not residue(echelon(self.rows), x.bits)
+
+
+def set_bits(word: int) -> list[int]:
+    """Indices of the set bits of a nonnegative word, ascending."""
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return out
 
 
 def residue(basis: dict[int, int], word: int) -> int:

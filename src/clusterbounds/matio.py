@@ -2,7 +2,8 @@
 
 Parity-check matrices are read from alist text (first line "n m" with
 n columns and m rows, per-column then per-row index sections, 1-based,
-zero padding tolerated) or from dense 0/1 text with one row per line.
+zero padding tolerated, each row section listing exactly the columns
+that name its row) or from dense 0/1 text with one row per line.
 Tables are written as CSV with '#'-prefixed provenance lines; JSON
 output formats floats with 17 significant digits.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from . import __version__
 from .errors import ValidationError
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, set_bits
 
 
 def _ints(line: str, lineno: int) -> list[int]:
@@ -49,13 +50,31 @@ def parse_alist(text: str) -> BitMatrix:
             if not 1 <= r <= m:
                 raise ValidationError(f"alist line {lineno}: row index {r} out of range")
             rows[r - 1] |= 1 << c
+    if len(lines) < 4 + n + m:
+        raise ValidationError(f"alist line {lines[-1][0]}: missing row sections")
+    row_w = _ints(lines[3][1], lines[3][0])
+    if len(row_w) != m:
+        raise ValidationError(f"alist line {lines[3][0]}: expected {m} row weights")
+    # each row section must list, in its declared weight, exactly the
+    # columns whose sections name its row
+    for r, (lineno, ln) in enumerate(lines[4 + n : 4 + n + m]):
+        listed = sorted(x for x in _ints(ln, lineno) if x != 0)
+        named = [c + 1 for c in set_bits(rows[r])]
+        if listed != named or len(listed) != row_w[r]:
+            raise ValidationError(
+                f"alist line {lineno}: row {r} lists columns {listed} under declared weight "
+                f"{row_w[r]}; the column sections name {named}"
+            )
     return BitMatrix(tuple(rows), n)
 
 
 def write_alist(matrix: BitMatrix) -> str:
     m, n = matrix.shape
-    cols = [[i + 1 for i in range(m) if (matrix.rows[i] >> c) & 1] for c in range(n)]
-    rws = [[c + 1 for c in range(n) if (matrix.rows[i] >> c) & 1] for i in range(m)]
+    rws = [[c + 1 for c in set_bits(row)] for row in matrix.rows]
+    cols: list[list[int]] = [[] for _ in range(n)]
+    for i, r in enumerate(rws):
+        for c in r:
+            cols[c - 1].append(i + 1)
     out = [
         f"{n} {m}",
         f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in rws), default=0)}",

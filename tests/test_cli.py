@@ -47,6 +47,15 @@ class TestBuild:
         assert run("build", "css", "--gx", str(path), "--gz", str(path)) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_contradicting_alist_rows(self, tmp_path, capsys):
+        good = tmp_path / "rep.alist"
+        good.write_text("3 2\n1 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n")
+        bad = tmp_path / "bad.alist"
+        bad.write_text("3 2\n1 2\n1 2 1\n2 2\n1\n1 2\n2\n1 3\n2 3\n")
+        assert run("build", "hgp", "--h1", str(bad), "--h2", str(good)) == 2
+        assert "alist line 8: row 0" in capsys.readouterr().err
+        assert run("build", "hgp", "--h1", str(good), "--h2", str(good)) == 0
+
     def test_anticommuting_rows_reported(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text("10\n01\n")  # X and Z on the same qubit

@@ -36,8 +36,8 @@ from clusterbounds import (
 )
 import clusterbounds.clusters as clusters_module
 from clusterbounds.clusters import _build_problem, _frontier
-from clusterbounds.codes import CssCode
-from clusterbounds.gf2 import BitMatrix, BitVector, echelon, residue
+from clusterbounds.codes import CssCode, FtCode
+from clusterbounds.gf2 import BitMatrix, BitVector, echelon, residue, set_bits
 
 
 def plaquette_supports(code):
@@ -204,7 +204,10 @@ class TestEnumerate:
 
     def test_degeneracy_rows_must_be_undetectable(self, toric2):
         # unit rows flip the checks of their column
-        ft = ft_extend_matrices(toric2.G_Z, BitMatrix.identity(toric2.n), 2)
+        with pytest.raises(ValidationError, match="row 0 is detectable"):
+            ft_extend_matrices(toric2.G_Z, BitMatrix.identity(toric2.n), 2)
+        # a code built around that check still fails the census's own
+        ft = FtCode(1, toric2.G_Z, BitMatrix.identity(toric2.n), toric2.n, toric2.G_Z.nrows)
         with pytest.raises(ValidationError, match="undetectable"):
             enumerate_clusters(ft, 2, sector="ft")
 
@@ -794,7 +797,7 @@ class TestCompletionTables:
 
             def assert_rows(key, s, left):
                 rows = Counter(complete(key, s, left))
-                taken = {e // width for e in clusters_module._entries(key)}
+                taken = {e // width for e in set_bits(key)}
                 completions = ordered_completions(problem, s, taken, left)
                 assert rows == Counter(key_and_mask(c) for c in completions)
                 # the rows for key 0 whose masks miss key are the rows for key
@@ -865,7 +868,7 @@ class TestGraphLikeClassification:
             degeneracy = echelon(code.Q.rows)
             expected = {f: [0] * (m_max + 1) for f in ("distinct", "irreducible", "nonstab")}
             for key in found:
-                words = [problem.syn[e] for e in clusters_module._entries(key)]
+                words = [problem.syn[e] for e in set_bits(key)]
                 m = len(words)
                 expected["distinct"][m] += 1
                 if m - len(echelon(words)) == 1:
@@ -914,15 +917,27 @@ class TestDegeneracyParities:
                 checks, degeneracy, count = code.P, code.Q, code.K
             else:
                 (checks, degeneracy), count = code.sector(sector), code.k
-            parities = _build_problem(code, sector).parities
+            problem = _build_problem(code, sector)
+            parities = problem.parities
             assert len(parities) == count
+            # a word's key: in a binary sector the word itself; in the full
+            # sector one labelled entry per qubit, the entry whose (v|u)
+            # word is the word's part on that qubit
+            entry_of = {w: e for e, w in enumerate(problem.deg)}
+            n = len(problem.syn) // problem.width
+            assert all(p >> len(problem.syn) == 0 for p in parities)
             undetectable = [v.bits for v in checks.kernel_basis()]
             for _ in range(20):
                 # a degeneracy word, plus an undetectable word half the time
                 word = reduce(xor, (r for r in degeneracy.rows if rng.random() < 0.5), 0)
                 if rng.random() < 0.5:
                     word ^= reduce(xor, (v for v in undetectable if rng.random() < 0.5), 0)
-                even = not any((word & p).bit_count() & 1 for p in parities)
+                key = word
+                if problem.width == 3:
+                    parts = (word & (1 << j | 1 << (n + j)) for j in range(n))
+                    key = sum(1 << entry_of[part] for part in parts if part)
+                    assert reduce(xor, (problem.deg[e] for e in set_bits(key)), 0) == word
+                even = not any((key & p).bit_count() & 1 for p in parities)
                 assert even == degeneracy.row_space_contains(BitVector(degeneracy.cols, word))
                 seen.add(even)
 
@@ -947,7 +962,11 @@ class TestBoundaryEntries:
             code = ft_extend(code, 2, errors="x")
         problem = _build_problem(code, sector)
         assert problem.edges is not None
-        assert problem.boundary.bit_count() == boundary
+        # an entry with fewer than two checks also sits on the phantom
+        # check, one bit past the last
+        phantom = 1 << len(problem.branches)
+        assert sum(bool(s & phantom) for s in problem.edges.values()) == boundary
+        assert all(s.bit_count() == 2 for s in problem.edges.values())
         census = enumerate_clusters(code, m_max, sector=sector, workers=workers)
         assert census.same_counts(brute_force_census(code, m_max, sector=sector))
         # the shortest logicals run from one open end to the other

@@ -13,6 +13,7 @@ from clusterbounds.gf2 import (
     hstack,
     kernel,
     residue,
+    set_bits,
     vstack,
     zero_sum_choices,
     zero_sum_work,
@@ -137,6 +138,23 @@ class TestRowSpace:
                 if rng.random() < 0.5:
                     acc ^= row
             assert m.row_space_contains(BitVector(7, acc))
+
+
+class TestSetBits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        word=st.one_of(
+            # sparse words up to 5000 bits wide, the empty set giving 0
+            st.frozensets(st.integers(0, 5000), max_size=6).map(lambda js: sum(1 << j for j in js)),
+            st.integers(0, 2**300),
+        )
+    )
+    def test_matches_position_scan(self, word):
+        assert set_bits(word) == [j for j in range(word.bit_length()) if (word >> j) & 1]
+
+    def test_zero_and_single_bits(self):
+        assert set_bits(0) == []
+        assert all(set_bits(1 << j) == [j] for j in (0, 1, 63, 64, 4999))
 
 
 class TestEchelon:

@@ -67,6 +67,27 @@ class TestAlist:
         with pytest.raises(ValidationError, match="out of range"):
             parse_alist(text)
 
+    def test_contradicting_row_section(self):
+        # the columns put row 1 at column 1 and row 2 at column 2; the
+        # row sections say the opposite
+        text = "2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n"
+        with pytest.raises(ValidationError, match=r"line 7: row 0 lists columns \[2\]"):
+            parse_alist(text)
+
+    def test_missing_row_section(self):
+        with pytest.raises(ValidationError, match="line 6: missing row sections"):
+            parse_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n")
+        with pytest.raises(ValidationError, match="line 7: missing row sections"):
+            parse_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n")
+
+    def test_row_weight_mismatch(self):
+        text = "2 2\n1 1\n1 1\n2 1\n1\n2\n1\n2\n"
+        match = r"line 7: row 0 lists columns \[1\] under declared weight 2"
+        with pytest.raises(ValidationError, match=match):
+            parse_alist(text)
+        with pytest.raises(ValidationError, match="line 4: expected 2 row weights"):
+            parse_alist("2 2\n1 1\n1 1\n1\n1\n2\n1\n2\n")
+
 
 class TestDense:
     def test_round_trip(self):
