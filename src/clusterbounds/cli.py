@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_stored",
         help=(
             "cap on the census's distinct clusters; it also bounds the search's "
-            "frontier of partial clusters, and each worker process, which "
-            "searches its share of that frontier, holds up to this many clusters"
+            "frontier of partial clusters, which is dealt into one share per "
+            "worker, and the search of each share holds up to this many clusters"
         ),
     )
     c.add_argument("--oracle", action="store_true", help="cross-check against brute force")

@@ -61,8 +61,10 @@ So the first levels are grown breadth-first into a frontier that maps
 each distinct partial cluster to its path multiplicity, the number of
 search paths reaching it, and the depth-first search runs once from each
 frontier key, counting every completion below it that many times.  A
-fixed budget and the memory cap bound the frontier's size, and worker
-processes split it.
+fixed budget and the memory cap bound the frontier's size.  A census
+deals the frontier into one strided share per worker, searches each
+share apart (in process when there is one, on a process pool
+otherwise), and merges the shares' path counts and keys.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -107,11 +109,12 @@ call and dropped when it returns.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import islice
+from itertools import repeat
 from math import comb
-from operator import or_, xor
+from operator import add, or_, xor
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
 from .errors import ClusterBoundsError, ResourceCapError, ValidationError
@@ -119,8 +122,8 @@ from .gf2 import BitMatrix, echelon, kernel, residue, set_bits, zero_sum_choices
 
 DEFAULT_CLUSTER_CAP = 10**7
 # partial clusters held between the breadth-first and the depth-first
-# search; every fork worker inherits them, and larger frontiers save
-# little search time for their memory
+# search; a pooled census pickles each worker's share of them, and larger
+# frontiers save little search time for their memory
 _FRONTIER_BUDGET = 2048
 _PAULI_LABELS = "XYZ"
 _PAULI_LABEL_INDEX = {lab: i for i, lab in enumerate(_PAULI_LABELS)}
@@ -286,30 +289,21 @@ def _build_problem(code, sector: str) -> _Problem:
         if not isinstance(code, CssCode):
             raise ValidationError("single-sector enumeration needs a CSS code")
         checks, degeneracy = code.sector(sector)
-        return _problem(
-            checks.rows,
-            [1 << j for j in range(checks.cols)],
-            1,
-            degeneracy,
-            partial(cluster_count_bound_css, code.n, checks.max_row_weight()),
-        )
-    if sector != "ft":
-        raise ValidationError(f"unknown sector {sector!r}, expected full, x, z or ft")
-    if not isinstance(code, FtCode):
-        raise ValidationError("space-time enumeration needs an FtCode")
-    qubit_mask = (1 << code.qubit_cols) - 1
-    return _problem(
-        code.P.rows,
-        [1 << j for j in range(code.P.cols)],
-        1,
-        code.Q,
-        partial(
+        bound = partial(cluster_count_bound_css, code.n, checks.max_row_weight())
+    elif sector == "ft":
+        if not isinstance(code, FtCode):
+            raise ValidationError("space-time enumeration needs an FtCode")
+        checks, degeneracy = code.P, code.Q
+        qubit_mask = (1 << code.qubit_cols) - 1
+        bound = partial(
             cluster_count_bound_ft_total,
             code.n,
             code.r,
-            max((row & qubit_mask).bit_count() for row in code.P.rows),
-        ),
-    )
+            max((row & qubit_mask).bit_count() for row in checks.rows),
+        )
+    else:
+        raise ValidationError(f"unknown sector {sector!r}, expected full, x, z or ft")
+    return _problem(checks.rows, [1 << j for j in range(checks.cols)], 1, degeneracy, bound)
 
 
 def _problem(
@@ -505,9 +499,17 @@ def _completer(problem: _Problem):
     return complete
 
 
+def _cap_error(cap: int) -> ResourceCapError:
+    """The error of a census that finds more than cap distinct clusters."""
+    return ResourceCapError(f"more than {cap} distinct clusters; raise the memory cap to continue")
+
+
 def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     """Depth-first search from (key, multiplicity) starts; returns
-    per-weight path counts and the set of recorded cluster keys.
+    per-weight path counts and the list of distinct recorded cluster
+    keys, raising ResourceCapError once there are more than cap of them.
+    A list, not the run's set, because a worker process sends it back:
+    the parent unpickles a list of keys into less memory than a set.
 
     Every completion below a start is recorded with the start's
     multiplicity, so paths counts the search paths through all orderings
@@ -534,9 +536,7 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
         paths[key.bit_count()] += mult
         if key not in found:
             if len(found) >= cap:
-                raise ResourceCapError(
-                    f"more than {cap} distinct clusters; raise the memory cap to continue"
-                )
+                raise _cap_error(cap)
             found.add(key)
 
     def finish(key: int, s: int, left: int) -> None:
@@ -572,12 +572,11 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
             go(key, s, left)
         elif left:
             finish(key, s, left)
-    return paths, found
-
-
-def _worker_run(args):
-    paths, found = _run_seeds(*args)
-    return paths, list(found)
+    # go refers to itself, so without this the run's key set and tables
+    # would outlive it until a full garbage collection, beside the merged
+    # set that the caller builds from the returned list
+    del go
+    return paths, [*found]
 
 
 def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
@@ -640,20 +639,23 @@ def enumerate_clusters(
     Checks are served in a fixed order (ascending weight, ties by
     original row index) so the counts are reproducible.  The first
     search levels are grown breadth-first into a frontier of distinct
-    partial clusters, each searched once; with workers > 1 the frontier
-    is split across processes, and the merged census does not depend on
-    the schedule.
+    partial clusters, each searched once.  Frontier key i goes to share
+    i mod N, for N = min(workers, frontier size), and one map runs the
+    depth-first search on every share: the built-in map for one share,
+    a pool of N worker processes for more.  The shares' path counts are
+    summed and their keys merged into one set, so the census does not
+    depend on the worker count or the schedule.
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
-    count.  The search also holds up to min(_FRONTIER_BUDGET, max_stored)
-    partial clusters in its frontier.  Workers split that frontier, not
-    the seeds; each holds the distinct clusters found from its share, up
-    to max_stored of them, and the shares overlap in the clusters they
-    find, so a run on N workers may hold up to N times the cap.  Each
-    worker, or the one run, also holds its completion tables, keyed by
-    syndromes of at most two bits, so at most r(r + 1)/2 keys for r
-    checks per number of entries left, whatever the cap.
+    count.  Each share's search stops once it holds more than max_stored
+    distinct clusters, and the merged keys are checked once.  The search
+    also holds up to min(_FRONTIER_BUDGET, max_stored) partial clusters
+    in its frontier.  The shares overlap in the clusters they find, so a
+    run on N workers may hold up to N times the cap.  Each share's
+    search also holds its completion tables, keyed by syndromes of at
+    most two bits, so at most r(r + 1)/2 keys for r checks per number of
+    entries left, whatever the cap.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
@@ -663,35 +665,27 @@ def enumerate_clusters(
         raise ValidationError(f"max_stored must be at least 1, got {max_stored}")
     problem = _build_problem(code, sector)
     limit = min(_FRONTIER_BUDGET, max_stored)
-    starts = _frontier(problem.branches, problem.syn, m_max, limit).items()
-    if workers <= 1:
-        paths, found = _run_seeds(problem, starts, m_max, max_stored)
-    else:
+    starts = [*_frontier(problem.branches, problem.syn, m_max, limit).items()]
+    n = min(workers, len(starts))
+    pool, run = nullcontext(), map
+    if n > 1:
         # only pooled runs pay for loading the process machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        paths = [0] * (m_max + 1)
-        found = set()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _worker_run,
-                [
-                    (problem, list(islice(starts, i, None, workers)), m_max, max_stored)
-                    for i in range(min(workers, len(starts)))
-                ],
-            )
-            # the jobs hold the frontier's items, each freed once its worker
-            # is done; dropping the map keeps it out of the merge below,
-            # where the parent's memory peaks
-            del starts
-            for wpaths, wkeys in results:
-                for m in range(m_max + 1):
-                    paths[m] += wpaths[m]
-                found.update(wkeys)
-        if len(found) > max_stored:
-            raise ResourceCapError(
-                f"more than {max_stored} distinct clusters; raise the memory cap to continue"
-            )
+        pool = ProcessPoolExecutor(n)
+        run = pool.map
+    paths, found = [0] * (m_max + 1), set()
+    with pool:
+        shares = [starts[i::n] for i in range(n)]
+        results = run(_run_seeds, repeat(problem), shares, repeat(m_max), repeat(max_stored))
+        # each share is freed once its run is done; dropping the frontier
+        # keeps it out of the merge, where the parent's memory peaks
+        del starts, shares
+        for share_paths, keys in results:
+            paths = [*map(add, paths, share_paths)]
+            found.update(keys)
+    if len(found) > max_stored:
+        raise _cap_error(max_stored)
     return _classify(problem, found, paths, keep_clusters)
 
 

@@ -1,9 +1,12 @@
 """Matrix file formats and machine-readable table output.
 
 Parity-check matrices are read from alist text (first line "n m" with
-n columns and m rows, per-column then per-row index sections, 1-based,
-zero padding tolerated, each row section listing exactly the columns
-that name its row) or from dense 0/1 text with one row per line.
+n columns and m rows, then the largest column and row weights, the n
+column weights, the m row weights, and per-column then per-row index
+sections, 1-based, zero padding tolerated, each column section naming
+distinct rows, each row section listing exactly the columns that name
+its row, and nothing after) or from dense 0/1 text with one row per
+line.
 Tables are written as CSV with '#'-prefixed provenance lines; JSON
 output formats floats with 17 significant digits.
 """
@@ -46,6 +49,8 @@ def parse_alist(text: str) -> BitMatrix:
             raise ValidationError(
                 f"alist line {lineno}: column {c} lists {len(idx)} rows, declared {col_w[c]}"
             )
+        if len(set(idx)) != len(idx):
+            raise ValidationError(f"alist line {lineno}: column {c} names a row twice")
         for r in idx:
             if not 1 <= r <= m:
                 raise ValidationError(f"alist line {lineno}: row index {r} out of range")
@@ -65,6 +70,18 @@ def parse_alist(text: str) -> BitMatrix:
                 f"alist line {lineno}: row {r} lists columns {listed} under declared weight "
                 f"{row_w[r]}; the column sections name {named}"
             )
+    if len(lines) > 4 + n + m:
+        lineno, ln = lines[4 + n + m]
+        raise ValidationError(
+            f"alist line {lineno}: unexpected {ln.strip()!r} after the row sections"
+        )
+    lineno, ln = lines[1]
+    largest = [max(col_w), max(row_w)]
+    if _ints(ln, lineno) != largest:
+        raise ValidationError(
+            f"alist line {lineno}: expected the largest column and row weights "
+            f"{largest[0]} {largest[1]}"
+        )
     return BitMatrix(tuple(rows), n)
 
 

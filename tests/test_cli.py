@@ -49,12 +49,28 @@ class TestBuild:
 
     def test_contradicting_alist_rows(self, tmp_path, capsys):
         good = tmp_path / "rep.alist"
-        good.write_text("3 2\n1 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n")
+        good.write_text("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n")
         bad = tmp_path / "bad.alist"
-        bad.write_text("3 2\n1 2\n1 2 1\n2 2\n1\n1 2\n2\n1 3\n2 3\n")
+        bad.write_text("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 3\n2 3\n")
         assert run("build", "hgp", "--h1", str(bad), "--h2", str(good)) == 2
         assert "alist line 8: row 0" in capsys.readouterr().err
         assert run("build", "hgp", "--h1", str(good), "--h2", str(good)) == 0
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("2 1\n2 1\n2 0\n1\n1 1\n0\n1\n", "alist line 5: column 0 names a row twice"),
+            ("2 1\n9 9\n1 1\n2\n1\n1\n1 2\n", "alist line 2: expected the largest"),
+            ("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n7 7 7\n", "alist line 8: unexpected '7 7 7'"),
+        ],
+    )
+    def test_malformed_alist_refused_by_hgp(self, tmp_path, capsys, text, error):
+        good = tmp_path / "rep.alist"
+        good.write_text("3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n")
+        bad = tmp_path / "bad.alist"
+        bad.write_text(text)
+        assert run("build", "hgp", "--h1", str(good), "--h2", str(bad)) == 2
+        assert error in capsys.readouterr().err
 
     def test_anticommuting_rows_reported(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

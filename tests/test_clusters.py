@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ from unittest.mock import patch
 
 import pytest
 from conftest import make_random_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import cubic_polygons
 
@@ -162,13 +163,20 @@ class TestEnumerate:
         with pytest.raises(ResourceCapError):
             enumerate_clusters(toric3, 6, sector="x", workers=2, max_stored=5)
 
-    def test_memory_cap_counts_distinct_clusters_whatever_the_workers(self, toric3):
-        total = sum(enumerate_clusters(toric3, 6, sector="x").distinct)
-        for workers in (1, 2):
-            census = enumerate_clusters(toric3, 6, sector="x", workers=workers, max_stored=total)
-            assert sum(census.distinct) == total
+    def test_memory_cap_counts_distinct_clusters_whatever_the_workers(self, toric2, toric3):
+        # toric L=2 x at m_max 3 has a frontier of its 8 seeds, so nine
+        # workers make eight shares of one seed each, none of them over the
+        # cap alone
+        for code, m_max, workers in [
+            (toric3, 6, 1), (toric3, 6, 2), (toric3, 6, 8), (toric2, 3, 9)
+        ]:
+            total = sum(enumerate_clusters(code, m_max, sector="x").distinct)
+            census = enumerate_clusters(
+                code, m_max, sector="x", workers=workers, max_stored=total
+            )
+            assert sum(census.distinct) == total, workers
             with pytest.raises(ResourceCapError):
-                enumerate_clusters(toric3, 6, sector="x", workers=workers, max_stored=total - 1)
+                enumerate_clusters(code, m_max, sector="x", workers=workers, max_stored=total - 1)
 
     def test_toric12_full_weight_four(self):
         L = 12
@@ -218,12 +226,26 @@ class TestEnumerate:
 
 
 class TestParallel:
-    def test_worker_counts_agree(self, toric3):
-        one = enumerate_clusters(toric3, 6, sector="x", workers=1, keep_clusters=True)
-        two = enumerate_clusters(toric3, 6, sector="x", workers=2, keep_clusters=True)
-        eight = enumerate_clusters(toric3, 6, sector="x", workers=8, keep_clusters=True)
-        assert one.same_counts(two) and one.same_counts(eight)
-        assert one.clusters == two.clusters == eight.clusters
+    def test_worker_counts_agree(self, toric2, toric3):
+        # toric L=2 x at m_max 3 has a frontier of its 8 seeds, fewer than
+        # the 9 workers asked for
+        for code, m_max, workers in [(toric3, 6, 2), (toric3, 6, 8), (toric2, 3, 9)]:
+            one = enumerate_clusters(code, m_max, sector="x", workers=1, keep_clusters=True)
+            many = enumerate_clusters(code, m_max, sector="x", workers=workers, keep_clusters=True)
+            assert many.same_counts(one), workers
+            assert many.clusters == one.clusters, workers
+
+    def test_one_share_runs_in_process(self, toric3, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a census of one share started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert sum(enumerate_clusters(toric3, 6, sector="x", workers=1).distinct) == 119
+        # a one-qubit code's x sector has one entry, so its frontier holds
+        # one key whatever the worker count
+        one_qubit = new_css(BitMatrix((1,), 1), BitMatrix((), 1))
+        census = enumerate_clusters(one_qubit, 3, sector="x", workers=4)
+        assert census.distinct == census.paths == (0, 1, 0, 0)
 
 
 # codes whose census must not depend on how far the frontier is grown
@@ -855,6 +877,11 @@ class TestGraphLikeClassification:
             rounds=st.integers(1, 3),
             m_max=st.integers(1, 6),
         )
+        # fixed draws that reach every category, so the closing assertion
+        # holds on a fresh example database: two reducible clusters, and
+        # unchecked qubits that close alone
+        @example(seed=19, rows=2, cols=3, rounds=2, m_max=4)
+        @example(seed=1, rows=1, cols=1, rounds=1, m_max=1)
         def check(seed, rows, cols, rounds, m_max):
             rng = random.Random(seed)
             H = random_graph_checks(rng, rows, cols)

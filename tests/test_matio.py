@@ -88,6 +88,24 @@ class TestAlist:
         with pytest.raises(ValidationError, match="line 4: expected 2 row weights"):
             parse_alist("2 2\n1 1\n1 1\n1\n1\n2\n1\n2\n")
 
+    def test_column_names_a_row_twice(self):
+        # column 0 declares weight 2 and lists row 1 twice
+        with pytest.raises(ValidationError, match="line 5: column 0 names a row twice"):
+            parse_alist("2 1\n2 1\n2 0\n1\n1 1\n0\n1\n")
+
+    def test_largest_weights_line_checked(self):
+        # the sections are consistent, with largest weights 1 and 2
+        with pytest.raises(ValidationError, match="line 2: expected the largest .* weights 1 2"):
+            parse_alist("2 1\n9 9\n1 1\n2\n1\n1\n1 2\n")
+        with pytest.raises(ValidationError, match="line 3: expected the largest .* weights 1 2"):
+            parse_alist("2 1\n\n2 1\n1 1\n2\n1\n1\n1 2\n")
+        assert parse_alist("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n") == BitMatrix.from_lists([[1, 1]])
+
+    def test_text_after_row_sections(self):
+        with pytest.raises(ValidationError, match=r"line 9: unexpected '7 7 7' after the row"):
+            parse_alist("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n\n7 7 7\n\n")
+        assert parse_alist("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n\n\n") == BitMatrix.from_lists([[1, 1]])
+
 
 class TestDense:
     def test_round_trip(self):
