@@ -86,7 +86,7 @@ def _make_code(args):
         if args.L is None:
             raise ValidationError("toric code needs --L")
         return toric_code(args.L), f"toric(L={args.L})"
-    names = {"hgp": ("h1", "h2"), "css": ("gx", "gz"), "stabilizer": ("g",)}[args.kind]
+    names = [name for name in read if name != "d"]
     paths = [getattr(args, name) for name in names]
     if not all(paths):
         raise ValidationError(f"{args.kind} code needs " + " and ".join(f"--{n}" for n in names))
@@ -234,7 +234,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_ft_extend(args) -> int:
     code, desc = _make_code(args)
     ft = ft_extend(code, args.rounds, errors=args.sector)
-    ok = (ft.P @ ft.Q.transpose()).is_zero()
+    ok = ft.P.first_odd_pair(ft.Q) is None
     print(f"code: {desc} rounds={args.rounds} errors={args.sector}")
     print(f"N={ft.N} K={ft.K} D_ft={ft.D_ft if ft.D_ft is not None else '?'}")
     print(f"max row weight of P: {ft.w}")

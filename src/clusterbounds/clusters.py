@@ -58,13 +58,16 @@ still end without one.
 A state's whole subtree depends only on its key, and most partial
 clusters are reached by several orderings, mostly from different seeds.
 So the first levels are grown breadth-first into a frontier that maps
-each distinct partial cluster to its path multiplicity, the number of
-search paths reaching it, and the depth-first search runs once from each
-frontier key, counting every completion below it that many times.  A
-fixed budget and the memory cap bound the frontier's size.  A census
-deals the frontier into one strided share per worker, searches each
-share apart (in process when there is one, on a process pool
-otherwise), and merges the shares' path counts and keys.
+each distinct partial cluster's key to its state: its syndrome, the
+parent's XOR the word of the entry placed, and its path multiplicity,
+the number of search paths reaching it.  The depth-first search runs
+once from each frontier state, counting every completion below it that
+many times, so no syndrome is recomputed from a key.  A fixed budget
+and the memory cap bound the frontier's size.  A census deals the
+frontier's states into one strided share per worker, as (key, syndrome,
+multiplicity) starts, searches each share apart (in process when there
+is one, on a process pool otherwise), and merges the shares' path counts
+and keys.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -85,13 +88,14 @@ word per entry, (v|u) for a Pauli label and the column bit for a binary
 entry.  An undetectable word lies in the degeneracy group exactly when
 it meets every vector of the degeneracy rows' kernel evenly, and the
 kernel vectors inside the checks' span meet every undetectable word
-evenly.  So the census tests one kernel vector per class modulo the
-checks' span: k of them in a single sector, K in the space-time code and
-2k in the full sector.  A cluster's word meets such a vector oddly
-exactly when an odd number of its entries' words do, so each vector is
-kept as the key mask of those entries, in a binary sector the vector
-itself, and every sector tests a cluster by the parity of its key under
-each mask.  is_irreducible keeps the
+evenly; the problem build refuses degeneracy rows that a check meets
+oddly, by gf2's BitMatrix.first_odd_pair.  So the census tests one
+kernel vector per class modulo the checks' span: k of them in a single
+sector, K in the space-time code and 2k in the full sector.  A
+cluster's word meets such a vector oddly exactly when an odd number of
+its entries' words do, so each vector is kept as the key mask of those
+entries, in a binary sector the vector itself, and every sector tests a
+cluster by the parity of its key under each mask.  is_irreducible keeps the
 rank by gf2.echelon, decompose splits along gf2.kernel vectors, and the
 brute-force census tests subsets and the residue by the degeneracy rows'
 echelon basis, so each checks the census's rules independently.
@@ -260,11 +264,6 @@ class _Problem:
         return not residue(self.degeneracy, reduce(xor, (self.deg[e] for e in entries), 0))
 
 
-def _syndrome(key: int, syn) -> int:
-    """Syndrome word of a cluster key: the XOR of its entries' words."""
-    return reduce(xor, (syn[e] for e in set_bits(key)), 0)
-
-
 # every caller works on one code at a time, and a large code's problem
 # holds megabytes (toric L=12 full: about 3.4 MB), so only a few are kept
 @lru_cache(maxsize=4)
@@ -284,7 +283,7 @@ def _build_problem(code, sector: str) -> _Problem:
         ]
         # a check-matrix row meets a (v|u) word with odd parity exactly
         # when the generator and the entry anticommute
-        return _problem(stab.H.rows, words, 3, stab.G, partial(cluster_count_bound, n, stab.w))
+        return _problem(stab.H, words, 3, stab.G, partial(cluster_count_bound, n, stab.w))
     if sector in ("x", "z"):
         if not isinstance(code, CssCode):
             raise ValidationError("single-sector enumeration needs a CSS code")
@@ -303,15 +302,17 @@ def _build_problem(code, sector: str) -> _Problem:
         )
     else:
         raise ValidationError(f"unknown sector {sector!r}, expected full, x, z or ft")
-    return _problem(checks.rows, [1 << j for j in range(checks.cols)], 1, degeneracy, bound)
+    return _problem(checks, [1 << j for j in range(checks.cols)], 1, degeneracy, bound)
 
 
 def _problem(
-    check_rows, words: list[int], width: int, degeneracy: BitMatrix, bound: partial
+    checks: BitMatrix, words: list[int], width: int, degeneracy: BitMatrix, bound: partial
 ) -> _Problem:
     """Entry e is word words[e] and flips check i when words[e] meets
-    check_rows[i] with odd parity.  Checks are served in ascending order
-    of the number of positions they touch, ties by row index."""
+    row i of checks with odd parity.  Checks are served in ascending
+    order of the number of positions they touch, ties by row index."""
+    if degeneracy.first_odd_pair(checks):
+        raise ValidationError("every degeneracy row must be undetectable by the checks")
     # a word meets a row only at the row's set bits, so each row's parity
     # is taken over the entries holding those bits
     holders: dict[int, list[int]] = {}
@@ -319,7 +320,7 @@ def _problem(
         for b in set_bits(w):
             holders.setdefault(b, []).append(e)
     flips = []
-    for row in check_rows:
+    for row in checks.rows:
         odd: set[int] = set()
         for b in set_bits(row):
             odd.symmetric_difference_update(holders.get(b, ()))
@@ -348,14 +349,12 @@ def _problem(
                 shared, w = d1 & d2, d1 ^ d2
                 if (shared & -shared) >> i == 1 and d1 & w & -w and not b1 & x2:
                     pairs.setdefault(w, []).append((b1 | b2, x1 | x2))
-    # the check rows must lie in the degeneracy rows' kernel; then the
-    # kernel vectors that give the checks' echelon basis new keys are a
-    # basis of that kernel modulo the checks
+    # the check rows lie in the degeneracy rows' kernel, so the kernel
+    # vectors that give the checks' echelon basis new keys are a basis of
+    # that kernel modulo the checks
     kernel_words = [v.bits for v in degeneracy.kernel_basis()]
-    checks = echelon(check_rows)
-    basis = echelon([*check_rows, *kernel_words])
-    if len(basis) > len(kernel_words):
-        raise ValidationError("every degeneracy row must be undetectable by the checks")
+    check_basis = echelon(checks.rows)
+    basis = echelon([*checks.rows, *kernel_words])
     return _Problem(
         width=width,
         syn=tuple(syn),
@@ -374,7 +373,7 @@ def _problem(
         parities=tuple(
             sum(1 << e for e, w in enumerate(words) if (w & p).bit_count() & 1)
             for top, p in basis.items()
-            if top not in checks
+            if top not in check_basis
         ),
         bound=bound,
     )
@@ -383,10 +382,11 @@ def _problem(
 # -- recursive enumeration ---------------------------------------------
 
 
-def _frontier(branches, syn, m_max: int, limit: int) -> dict[int, int]:
+def _frontier(problem: _Problem, m_max: int, limit: int) -> dict[int, tuple[int, int]]:
     """Grow the search breadth-first from the single entries; returns a
-    map from each partial cluster's key to its multiplicity, the number
-    of search paths that reach it.
+    map from each partial cluster's key to its state: its syndrome and
+    its multiplicity, the number of search paths that reach it.  A
+    child's syndrome is its parent's XOR the word of the entry it adds.
 
     A state's subtree depends only on its key: the syndrome, the depth,
     the next check and the exclusions all follow from it.  So every
@@ -398,22 +398,21 @@ def _frontier(branches, syn, m_max: int, limit: int) -> dict[int, int]:
     the children of the empty cluster).  The unexpanded rest of a partly
     grown layer stays at its depth.  Completed keys (zero syndrome) stay
     in the frontier and are recorded from it."""
-    layer = {1 << e: 1 for e in range(len(syn))}
+    layer = {1 << e: (s, 1) for e, s in enumerate(problem.syn)}
     for _ in range(m_max - 3):
-        grown: dict[int, int] = {}
+        grown: dict[int, tuple[int, int]] = {}
         while layer:
             if len(layer) + len(grown) > limit:
                 grown.update(layer)
                 return grown
-            key, mult = layer.popitem()
-            s = _syndrome(key, syn)
+            key, (s, mult) = layer.popitem()
             if s == 0:
-                grown[key] = mult
+                grown[key] = (s, mult)
                 continue
-            for ds, bit, excl in branches[(s & -s).bit_length() - 1]:
+            for ds, bit, excl in problem.branches[(s & -s).bit_length() - 1]:
                 if not key & excl:
                     child = key | bit
-                    grown[child] = grown.get(child, 0) + mult
+                    grown[child] = (s ^ ds, grown.get(child, (0, 0))[1] + mult)
         layer = grown
     return layer
 
@@ -505,11 +504,12 @@ def _cap_error(cap: int) -> ResourceCapError:
 
 
 def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
-    """Depth-first search from (key, multiplicity) starts; returns
-    per-weight path counts and the list of distinct recorded cluster
-    keys, raising ResourceCapError once there are more than cap of them.
-    A list, not the run's set, because a worker process sends it back:
-    the parent unpickles a list of keys into less memory than a set.
+    """Depth-first search from (key, syndrome, multiplicity) starts;
+    returns per-weight path counts and the list of distinct recorded
+    cluster keys, raising ResourceCapError once there are more than cap
+    of them.  A list, not the run's set, because a worker process sends
+    it back: the parent unpickles a list of keys into less memory than a
+    set.
 
     Every completion below a start is recorded with the start's
     multiplicity, so paths counts the search paths through all orderings
@@ -563,8 +563,7 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
             else:
                 finish(key | bit, ns, left)
 
-    for key, mult in starts:
-        s = _syndrome(key, problem.syn)
+    for key, s, mult in starts:
         left = m_max - key.bit_count()
         if s == 0:
             record(key)
@@ -665,7 +664,7 @@ def enumerate_clusters(
         raise ValidationError(f"max_stored must be at least 1, got {max_stored}")
     problem = _build_problem(code, sector)
     limit = min(_FRONTIER_BUDGET, max_stored)
-    starts = [*_frontier(problem.branches, problem.syn, m_max, limit).items()]
+    starts = [(key, s, mult) for key, (s, mult) in _frontier(problem, m_max, limit).items()]
     n = min(workers, len(starts))
     pool, run = nullcontext(), map
     if n > 1:

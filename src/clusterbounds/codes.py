@@ -14,7 +14,6 @@ repeated noisy syndrome measurement rounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -154,17 +153,17 @@ def new_stabilizer(G: BitMatrix, d: int | None = None) -> StabilizerCode:
     _check_distance(d)
     if G.cols % 2:
         raise ValidationError("generator matrix must have 2n columns")
-    n = G.cols // 2
-    mask = (1 << n) - 1
     for i, row in enumerate(G.rows):
         if row == 0:
             raise ValidationError(f"generator row {i} is zero")
-    for i, j in itertools.combinations(range(G.nrows), 2):
-        ri, rj = G.rows[i], G.rows[j]
-        sp = ((ri & mask) & (rj >> n)).bit_count() + ((ri >> n) & (rj & mask)).bit_count()
-        if sp & 1:
-            raise CommutativityError(i, j)
-    return StabilizerCode(G, d)
+    code = StabilizerCode(G, d)
+    # row j of H is row j of G with its halves swapped, so row i of G
+    # meets it in their symplectic product; that product is symmetric
+    # with a zero diagonal, so the first odd pair has i < j
+    pair = G.first_odd_pair(code.H)
+    if pair:
+        raise CommutativityError(*pair)
+    return code
 
 
 @dataclass(frozen=True)
@@ -221,10 +220,9 @@ def new_css(G_X: BitMatrix, G_Z: BitMatrix, d: int | None = None) -> CssCode:
         for i, row in enumerate(M.rows):
             if row == 0:
                 raise ValidationError(f"{name} row {i} is zero")
-    for i, rx in enumerate(G_X.rows):
-        for j, rz in enumerate(G_Z.rows):
-            if (rx & rz).bit_count() & 1:
-                raise CommutativityError(i, j)
+    pair = G_X.first_odd_pair(G_Z)
+    if pair:
+        raise CommutativityError(*pair)
     return CssCode(G_X, G_Z, d)
 
 
@@ -280,6 +278,12 @@ class FtCode:
     syndrome-bit errors (the last round is taken as read out exactly).
     Q spans the degeneracy: products of generators and errors that
     cancel between consecutive rounds.
+
+    D_ft is the source code's known distance d.  It bounds the
+    space-time distance from below, and is exact when the tracked
+    sector's distance is d: the qubit errors of a nontrivial space-time
+    error add up to a nontrivial error of that sector, and that error
+    placed in one round is itself one, whatever the number of rounds.
     """
 
     m: int
@@ -319,9 +323,9 @@ def ft_extend_matrices(H: BitMatrix, G: BitMatrix, m: int, d: int | None = None)
     r, n = H.shape
     if G.cols != n:
         raise ValidationError("H and G must act on the same columns")
-    for i, g in enumerate(G.rows):
-        if any((h & g).bit_count() & 1 for h in H.rows):
-            raise ValidationError(f"degeneracy row {i} is detectable, not undetectable")
+    pair = G.first_odd_pair(H)
+    if pair:
+        raise ValidationError(f"degeneracy row {pair[0]} is detectable, not undetectable")
     im = BitMatrix.identity(m)
     if m == 1:
         P = H
@@ -335,7 +339,7 @@ def ft_extend_matrices(H: BitMatrix, G: BitMatrix, m: int, d: int | None = None)
         )
         bottom = hstack(im.kron(G), BitMatrix.zeros(m * G.nrows, (m - 1) * r))
         Q = vstack(top, bottom)
-    return FtCode(m, P, Q, n, r, None if d is None else min(d, m))
+    return FtCode(m, P, Q, n, r, d)
 
 
 def ft_extend(code: CssCode, m: int, errors: str = "x") -> FtCode:

@@ -14,6 +14,12 @@ kernel runs it on tagged words to read off kernel vectors.  Rank, row
 space membership, kernels, the cluster classifier and degeneracy test,
 decomposition and the distance search all go through these three.
 
+BitMatrix.first_odd_pair reads the first pair of rows of two matrices
+that meet with odd parity off their product a @ b^T.  Every check that
+one matrix's rows are undetectable by another's goes through it:
+commuting stabilizer generators, orthogonal CSS sectors, and the
+degeneracy rows of a census's problem and of the space-time code.
+
 zero_sum_choices is the one exhaustive scan for zero-sum selections of
 columns; the brute-force cluster census and the distance search use it.
 It loops over all but the last groups of a choice and looks the rest up
@@ -198,6 +204,15 @@ class BitMatrix:
                 acc ^= other.rows[j]
             out.append(acc)
         return BitMatrix(tuple(out), other.cols)
+
+    def first_odd_pair(self, other: "BitMatrix") -> tuple[int, int] | None:
+        """The first (i, j) in row-major order whose row i of self and
+        row j of other meet with odd parity, read from self @ other^T;
+        None when every pair meets evenly."""
+        for i, row in enumerate((self @ other.transpose()).rows):
+            if row:
+                return i, (row & -row).bit_length() - 1
+        return None
 
     def mul_vec(self, v: BitVector) -> BitVector:
         """Matrix-vector product; returns one bit per row."""

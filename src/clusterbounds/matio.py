@@ -7,11 +7,14 @@ sections, 1-based, zero padding tolerated, each column section naming
 distinct rows, each row section listing exactly the columns that name
 its row, and nothing after) or from dense 0/1 text with one row per
 line.
-Tables are written as CSV with '#'-prefixed provenance lines; JSON
-output formats floats with 17 significant digits.
+Tables are written as CSV with '#'-prefixed provenance lines, which
+refuse config values holding line breaks; JSON output formats floats
+with 17 significant digits and escapes strings as json.dumps does.
 """
 
 from __future__ import annotations
+
+import json
 
 from . import __version__
 from .errors import ValidationError
@@ -166,21 +169,16 @@ def format_float(x: float) -> str:
 
 
 def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return format_float(v)
-    if isinstance(v, int):
-        return str(v)
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(v, dict):
         inner = ", ".join(f"{_json_value(str(k))}: {_json_value(x)}" for k, x in v.items())
         return "{" + inner + "}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(x) for x in v) + "]"
+    if v is None or isinstance(v, (bool, int, str)):
+        # escapes quotes, backslashes and control characters in strings
+        return json.dumps(v, ensure_ascii=False)
     raise ValidationError(f"cannot serialize {type(v).__name__} to JSON")
 
 
@@ -193,6 +191,12 @@ def dump_json(payload: dict, config: dict | None = None) -> str:
 
 
 def provenance_header(config: dict) -> list[str]:
+    """The comment lines above a CSV table.  A config value holding a
+    line break (any boundary str.splitlines splits at) is refused: it
+    would end its comment line."""
+    for k, v in config.items():
+        if "".join(str(v).splitlines()) != str(v):
+            raise ValidationError(f"config value {k}={str(v)!r} holds a line break")
     items = " ".join(f"{k}={v}" for k, v in config.items())
     return [f"# clusterbounds {__version__}", f"# config: {items}"]
 

@@ -8,7 +8,10 @@ toric code's plaquette and site rows bond by bond, for checking that the
 hypergraph-product construction keeps the lattice's check order.
 cubic_polygons counts the simple cubic lattice's self-avoiding polygons
 by walking them, for checking space-time censuses past brute-force
-reach.
+reach.  anticommuting_pair_literal, nonorthogonal_pair_literal and
+detectable_row_literal scan pairs of rows one at a time, the way code
+construction once checked generators and degeneracy rows, for checking
+gf2.BitMatrix.first_odd_pair.
 
 Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
@@ -96,6 +99,38 @@ def zero_sum_choices_literal(groups, max_size: int) -> list[tuple]:
                 if acc == 0:
                     hits.append(tuple(item for _, item in pairs))
     return hits
+
+
+def anticommuting_pair_literal(G) -> tuple[int, int] | None:
+    """The first pair i < j of symplectic generator rows, laid out
+    (v | u), whose symplectic product is odd; None if all commute."""
+    n = G.cols // 2
+    mask = (1 << n) - 1
+    for i, j in itertools.combinations(range(G.nrows), 2):
+        ri, rj = G.rows[i], G.rows[j]
+        sp = ((ri & mask) & (rj >> n)).bit_count() + ((ri >> n) & (rj & mask)).bit_count()
+        if sp & 1:
+            return i, j
+    return None
+
+
+def nonorthogonal_pair_literal(G_X, G_Z) -> tuple[int, int] | None:
+    """The first (X row, Z row) pair, X rows outermost, that overlaps
+    on an odd number of qubits; None if the sectors are orthogonal."""
+    for i, rx in enumerate(G_X.rows):
+        for j, rz in enumerate(G_Z.rows):
+            if (rx & rz).bit_count() & 1:
+                return i, j
+    return None
+
+
+def detectable_row_literal(H, G) -> int | None:
+    """The first row of G that some row of H meets oddly; None if every
+    row of G is undetectable by H."""
+    for i, g in enumerate(G.rows):
+        if any((h & g).bit_count() & 1 for h in H.rows):
+            return i
+    return None
 
 
 def subset_xors(words) -> dict[int, list[int]]:

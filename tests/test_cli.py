@@ -283,6 +283,27 @@ class TestThreshold:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    def test_json_output_escapes_control_characters(self, tmp_path, capsys):
+        out = tmp_path / "res.json"
+        assert run("threshold", "--model", "css", "--w", "4", "--D", "inf\t", "--solve", "y",
+                   "-o", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["D"] == "inf\t"
+        assert '"D": "inf\\t"' in out.read_text()
+        assert "y = 0.333333333" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("D", [" inf\n", "inf\r", "inf\x0b"])
+    def test_csv_config_with_a_line_break_is_refused(self, tmp_path, capsys, D):
+        out = tmp_path / "curve.csv"
+        argv = ("threshold", "--model", "css", "--w", "4", "--D", D, "--curve", "y:pZ",
+                "--points", "2")
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config value D={D!r} holds a line break\n"
+        assert captured.out == ""
+        assert run(*argv, "-o", str(out)) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("D", ["Infinity", "INF"])
     def test_infinite_distance_constant(self, capsys, D):
         assert run("threshold", "--model", "css", "--w", "4", "--D", D, "--solve", "y") == 0

@@ -41,6 +41,11 @@ from clusterbounds.codes import CssCode, FtCode
 from clusterbounds.gf2 import BitMatrix, BitVector, echelon, residue, set_bits
 
 
+def syndrome_of(key, syn):
+    """The XOR of the syndrome words of a key's entries."""
+    return reduce(xor, (syn[e] for e in set_bits(key)), 0)
+
+
 def plaquette_supports(code):
     return [tuple(j for j in range(code.n) if (row >> j) & 1) for row in code.G_X.rows]
 
@@ -274,11 +279,22 @@ class TestFrontier:
             assert census.same_counts(reference), (budget, workers)
             assert census.clusters == reference.clusters, (budget, workers)
 
+    @pytest.mark.parametrize("case", BUDGET_SWEEP)
+    def test_states_carry_their_keys_syndromes(self, case):
+        make, sector, m_max = BUDGET_SWEEP[case]
+        problem = _build_problem(make(), sector)
+        for limit in (0, 7, 100, 2048):
+            frontier = _frontier(problem, m_max, limit)
+            assert frontier
+            for key, (s, mult) in frontier.items():
+                assert s == syndrome_of(key, problem.syn)
+                assert mult >= 1
+
     def test_frontier_holds_its_limit_plus_one_states_children(self, toric4):
         problem = _build_problem(toric4, "full")
         children = max(len(problem.syn), *(len(b) for b in problem.branches))
         for limit in (0, 1, 7, 50, 100, 500, 2048):
-            frontier = _frontier(problem.branches, problem.syn, 8, limit)
+            frontier = _frontier(problem, 8, limit)
             assert len(frontier) <= limit + children
 
     def test_max_stored_caps_the_frontier(self, toric4, monkeypatch):
@@ -724,7 +740,7 @@ class TestReachCut:
                 # a random partial cluster: one label on each of a few positions
                 used = rng.sample(range(n), rng.randint(1, min(4, n - 2)))
                 key = sum(1 << (3 * j + rng.randrange(3)) for j in used)
-                s = clusters_module._syndrome(key, syn)
+                s = syndrome_of(key, syn)
                 if s.bit_count() <= 2:
                     continue
                 i = (s & -s).bit_length() - 1
@@ -843,7 +859,7 @@ class TestCompletionTables:
             for _ in range(20):
                 used = rng.sample(range(n), rng.randint(1, min(4, n)))
                 key = sum(1 << (width * j + rng.randrange(width)) for j in used)
-                s = clusters_module._syndrome(key, syn)
+                s = syndrome_of(key, syn)
                 if s:
                     assert_rows(key, s, rng.randint(1, 3))
 
@@ -889,7 +905,8 @@ class TestGraphLikeClassification:
             code = ft_extend_matrices(H, G, rounds)
             problem = _build_problem(code, "ft")
             assert problem.edges is not None
-            starts = _frontier(problem.branches, problem.syn, m_max, 2048).items()
+            frontier = _frontier(problem, m_max, 2048)
+            starts = [(key, s, mult) for key, (s, mult) in frontier.items()]
             paths, found = clusters_module._run_seeds(problem, starts, m_max, 10**6)
             census = clusters_module._classify(problem, found, paths, False)
             degeneracy = echelon(code.Q.rows)

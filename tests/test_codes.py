@@ -8,6 +8,7 @@ from clusterbounds import (
     PauliOp,
     ValidationError,
     css_distance_bruteforce,
+    enumerate_clusters,
     ft_extend,
     ft_extend_matrices,
     hypergraph_product,
@@ -17,10 +18,18 @@ from clusterbounds import (
     repetition_transpose,
     toric_code,
 )
+from clusterbounds.codes import CssCode, FtCode, StabilizerCode
 from clusterbounds.gf2 import BitMatrix, BitVector
 
 from conftest import make_random_matrix
-from oracles import toric_rows_literal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    anticommuting_pair_literal,
+    detectable_row_literal,
+    nonorthogonal_pair_literal,
+    toric_rows_literal,
+)
 
 
 def symplectic_product(e1: PauliOp, e2: PauliOp) -> int:
@@ -273,13 +282,15 @@ class TestFtExtend:
                 ft = ft_extend(code, m, errors="x")
                 assert ft.N == m * code.n + (m - 1) * r
                 assert ft.K == code.k == 2
-                assert ft.D_ft == min(L, m)
+                # the last round is read exactly, so fewer rounds than L
+                # do not lower the distance
+                assert ft.D_ft == L
 
-    def test_distance_bruteforce_small_instances(self, toric2):
-        for m in (2, 3):
-            ft = ft_extend(toric2, m, errors="x")
-            if ft.N <= 40:
-                assert min_nontrivial_weight(ft.P, ft.Q, ft.D_ft) == ft.D_ft
+    def test_distance_bruteforce_small_instances(self, toric2, toric3):
+        for code, rounds in ((toric2, (1, 2, 3)), (toric3, (1, 2, 3))):
+            for m in rounds:
+                ft = ft_extend(code, m, errors="x")
+                assert min_nontrivial_weight(ft.P, ft.Q, ft.D_ft) == ft.D_ft == code.d
 
     def test_single_round_is_bare_pair(self, toric2):
         ft = ft_extend(toric2, 1, errors="x")
@@ -306,6 +317,90 @@ def test_known_distance_below_one_rejected(toric2, d):
     with pytest.raises(ValidationError, match="known distance must be at least 1"):
         ft_extend_matrices(toric2.G_Z, toric2.G_X, 2, d=d)
     assert new_css(toric2.G_X, toric2.G_Z, d=1).d == 1
+
+
+def nonzero_rows(cols: int, max_rows: int):
+    return st.lists(st.integers(1, (1 << cols) - 1), min_size=1, max_size=max_rows)
+
+
+def for_random_matrices(check, max_cols: int):
+    """Run check(data, n) on 200 draws of a column count n <= max_cols;
+    check returns whether it found an odd pair, and both answers must
+    come up."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, max_cols))
+    def run(data, n):
+        seen.add(check(data, n))
+
+    run()
+    assert seen == {False, True}
+
+
+class TestOddPairs:
+    """Every construction check reads the first odd pair of two row
+    sets off one product; each old row-by-row scan is its oracle."""
+
+    def test_anticommuting_generators(self):
+        def check(data, n):
+            G = BitMatrix(tuple(data.draw(nonzero_rows(2 * n, 5))), 2 * n)
+            pair = anticommuting_pair_literal(G)
+            assert G.first_odd_pair(StabilizerCode(G).H) == pair
+            if pair is None:
+                assert new_stabilizer(G).G == G
+                return False
+            with pytest.raises(CommutativityError) as err:
+                new_stabilizer(G)
+            assert err.value.rows == pair
+            assert str(err.value) == f"generator rows {pair[0]} and {pair[1]} anticommute"
+            # a code built without the check is refused when its census starts
+            with pytest.raises(ValidationError, match="every degeneracy row must be undetectable"):
+                enumerate_clusters(StabilizerCode(G), 1)
+            return True
+
+        for_random_matrices(check, 3)
+
+    def test_nonorthogonal_css_sectors(self):
+        def check(data, n):
+            G_X = BitMatrix(tuple(data.draw(nonzero_rows(n, 4))), n)
+            G_Z = BitMatrix(tuple(data.draw(nonzero_rows(n, 4))), n)
+            pair = nonorthogonal_pair_literal(G_X, G_Z)
+            assert G_X.first_odd_pair(G_Z) == pair
+            if pair is None:
+                assert new_css(G_X, G_Z) == CssCode(G_X, G_Z)
+                return False
+            with pytest.raises(CommutativityError) as err:
+                new_css(G_X, G_Z)
+            assert err.value.rows == pair
+            with pytest.raises(ValidationError, match="every degeneracy row must be undetectable"):
+                enumerate_clusters(CssCode(G_X, G_Z), 1, sector="x")
+            return True
+
+        for_random_matrices(check, 5)
+
+    def test_detectable_degeneracy_rows(self):
+        def check(data, n):
+            H = BitMatrix(tuple(data.draw(nonzero_rows(n, 3))), n)
+            G = BitMatrix(tuple(data.draw(nonzero_rows(n, 3))), n)
+            rounds = data.draw(st.integers(1, 3))
+            row = detectable_row_literal(H, G)
+            pair = G.first_odd_pair(H)
+            assert (None if pair is None else pair[0]) == row
+            bare = FtCode(1, H, G, n, H.nrows)
+            if row is None:
+                ft = ft_extend_matrices(H, G, rounds)
+                assert (ft.P @ ft.Q.transpose()).is_zero()
+                enumerate_clusters(bare, 1, sector="ft")
+                return False
+            with pytest.raises(ValidationError) as err:
+                ft_extend_matrices(H, G, rounds)
+            assert str(err.value) == f"degeneracy row {row} is detectable, not undetectable"
+            with pytest.raises(ValidationError, match="every degeneracy row must be undetectable"):
+                enumerate_clusters(bare, 1, sector="ft")
+            return True
+
+        for_random_matrices(check, 5)
 
 
 class TestCssValidation:

@@ -218,6 +218,20 @@ class TestMatmulStack:
             b = random_bitmatrix(rng, a.cols, rng.randint(1, 5))
             assert a @ b == naive_matmul(a, b)
 
+    def test_first_odd_pair_is_the_first_odd_row_pair(self):
+        rng = random.Random(9)
+        found = 0
+        for _ in range(60):
+            cols = rng.randint(0, 5)
+            a = random_bitmatrix(rng, rng.randint(0, 4), cols)
+            b = random_bitmatrix(rng, rng.randint(0, 4), cols)
+            entries = [
+                (i, j) for i in range(a.nrows) for j in range(b.nrows) if a.row(i).dot(b.row(j))
+            ]
+            assert a.first_odd_pair(b) == (entries[0] if entries else None)
+            found += bool(entries)
+        assert 0 < found < 60
+
     def test_transpose_involution(self):
         rng = random.Random(7)
         m = random_bitmatrix(rng, 4, 6)
