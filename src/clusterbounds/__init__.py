@@ -34,7 +34,6 @@ from .codes import (
     min_nontrivial_weight,
     new_css,
     new_stabilizer,
-    repetition_transpose,
     toric_code,
 )
 from .clusters import (
@@ -118,7 +117,6 @@ __all__ = [
     "min_nontrivial_weight",
     "new_css",
     "new_stabilizer",
-    "repetition_transpose",
     "solve_threshold",
     "threshold_curve",
     "toric_code",

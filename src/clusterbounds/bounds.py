@@ -173,12 +173,14 @@ def solve_threshold(
     fixed: ChannelParams = ChannelParams(),
     model: str = "css",
 ) -> float:
-    """Largest value of one error rate that still satisfies the model's
-    condition, with the other rates held fixed.
+    """One error rate's threshold with the other rates held fixed: a
+    value within 5e-10 of the largest value satisfying the model's
+    condition, on either side.
 
     The left-hand sides are increasing in each rate on the search
     bracket ([0, 1] for y, [0, 1/2] otherwise), so bisection applies;
-    it stops once the bracket is at most 1e-9 wide.
+    it stops once the bracket is at most 1e-9 wide and returns its
+    midpoint, which may itself just fail the condition.
     free='p' under a CSS model ties p_X = p_Z = p.
     """
     rhs = code.rhs()

@@ -7,9 +7,12 @@ matrix H = (A_Z | A_X) of G = (A_X | A_Z) are computed from them.  The
 syndrome of an error is H times its binary form, and two operators
 commute exactly when their symplectic product vanishes.
 
-Also provides the standard constructions used in tests and demos (toric
-code, hypergraph product) and the combined space-time code that models
-repeated noisy syndrome measurement rounds.
+One hypergraph product builds the standard codes used in tests and
+demos (toric code, hypergraph product) and the combined space-time code
+that models m noisy syndrome measurement rounds: that code is the
+product of the m-round repetition code's checks with one sector's
+checks, plus the sector's degeneracy rows in each round, and it stores
+only m, its two matrices and a known distance.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import CommutativityError, ValidationError
-from .gf2 import BitMatrix, BitVector, echelon, hstack, residue, vstack, zero_sum_choices
+from .gf2 import BitMatrix, BitVector, echelon, hstack, residue, zero_sum_choices
 
 _LABEL_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR_LABEL = {lbl: vu for vu, lbl in _LABEL_FOR_BITS.items()}
@@ -243,41 +246,49 @@ def toric_code(L: int) -> CssCode:
     return replace(hypergraph_product(cycle, cycle.transpose()), d=L)
 
 
+def _product(H1: BitMatrix, H2: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+    """The hypergraph product's X-type and Z-type rows, zero rows kept.
+
+    With H1 of shape r1 x n1 and H2 of shape r2 x n2, both blocks act on
+    n1*n2 + r1*r2 columns and are orthogonal: X-type rows are
+    (H1 (x) I | I (x) H2^T) and Z-type rows (I (x) H2 | H1^T (x) I).
+    """
+    r1, n1 = H1.shape
+    r2, n2 = H2.shape
+    gx = hstack(H1.kron(BitMatrix.identity(n2)), BitMatrix.identity(r1).kron(H2.transpose()))
+    gz = hstack(BitMatrix.identity(n1).kron(H2), H1.transpose().kron(BitMatrix.identity(r2)))
+    return gx, gz
+
+
 def hypergraph_product(H1: BitMatrix, H2: BitMatrix) -> CssCode:
     """CSS code built from two classical parity-check matrices.
 
     With H1 of shape r1 x n1 and H2 of shape r2 x n2 the code has
     n1*n2 + r1*r2 qubits and the two sectors are orthogonal by
-    construction.
+    construction; zero product rows are dropped.
     """
     if H1.is_zero() or H2.is_zero():
         raise ValidationError("constituent matrices must be nonzero")
-    r1, n1 = H1.shape
-    r2, n2 = H2.shape
-    gx = hstack(H1.kron(BitMatrix.identity(n2)), BitMatrix.identity(r1).kron(H2.transpose()))
-    gz = hstack(BitMatrix.identity(n1).kron(H2), H1.transpose().kron(BitMatrix.identity(r2)))
-    gx = BitMatrix(tuple(r for r in gx.rows if r), gx.cols)
-    gz = BitMatrix(tuple(r for r in gz.rows if r), gz.cols)
+    gx, gz = (BitMatrix(tuple(r for r in M.rows if r), M.cols) for M in _product(H1, H2))
     return new_css(gx, gz)
 
 
-def repetition_transpose(m: int) -> BitMatrix:
-    """The m x (m-1) bidiagonal matrix coupling consecutive rounds: the
-    transpose of the repetition code's checks, row i = bits i and i+1."""
-    if m < 2:
-        raise ValidationError("need m >= 2")
-    return BitMatrix(tuple(3 << i for i in range(m - 1)), m).transpose()
+def _check_rounds(m: int) -> None:
+    if m < 1:
+        raise ValidationError(f"need at least one measurement round, got {m}")
 
 
 @dataclass(frozen=True)
 class FtCode:
     """Combined space-time binary code for m noisy measurement rounds.
 
-    P is the check matrix over N = m*n + (m-1)*r columns: the first m*n
-    columns are per-round qubit errors, the trailing (m-1)*r columns are
-    syndrome-bit errors (the last round is taken as read out exactly).
-    Q spans the degeneracy: products of generators and errors that
-    cancel between consecutive rounds.
+    P is the check matrix over N = m*n + (m-1)*r columns, for a source
+    sector of r checks on n qubits: the first m*n columns are per-round
+    qubit errors, the trailing (m-1)*r columns are syndrome-bit errors
+    (the last round is taken as read out exactly).  Q spans the
+    degeneracy: products of generators and errors that cancel between
+    consecutive rounds.  n and r are read off P's shape, which must
+    factor over the m rounds.
 
     D_ft is the source code's known distance d.  It bounds the
     space-time distance from below, and is exact when the tracked
@@ -289,9 +300,23 @@ class FtCode:
     m: int
     P: BitMatrix
     Q: BitMatrix
-    n: int
-    r: int
     D_ft: int | None = None
+
+    def __post_init__(self) -> None:
+        _check_rounds(self.m)
+        m, r, n = self.m, self.r, self.n
+        if n < 0 or self.P.shape != (m * r, m * n + (m - 1) * r):
+            raise ValidationError(f"P of shape {self.P.shape} does not factor over {m} rounds")
+
+    @property
+    def r(self) -> int:
+        """Checks per round: P has m*r rows."""
+        return self.P.nrows // self.m
+
+    @property
+    def n(self) -> int:
+        """Qubits per round: P has m*n + (m-1)*r columns."""
+        return (self.P.cols - (self.m - 1) * self.r) // self.m
 
     @property
     def N(self) -> int:
@@ -314,32 +339,23 @@ class FtCode:
 def ft_extend_matrices(H: BitMatrix, G: BitMatrix, m: int, d: int | None = None) -> FtCode:
     """Build the combined code from a (checks, degeneracy) pair.
 
-    Every degeneracy row must be undetectable, H G^T = 0.  For m = 1 the
-    syndrome block is empty and the construction returns the bare pair.
+    Every degeneracy row must be undetectable, H G^T = 0.  With rep the
+    (m-1) x m check matrix of the m-round repetition code, P and the
+    first rows of Q are the Z-type and X-type rows of the hypergraph
+    product of rep with H; the rest of Q is G in each round.  At m = 1
+    rep has no rows, so P = H and Q = G.
     """
-    if m < 1:
-        raise ValidationError(f"need at least one measurement round, got {m}")
+    _check_rounds(m)
     _check_distance(d)
-    r, n = H.shape
-    if G.cols != n:
+    if G.cols != H.cols:
         raise ValidationError("H and G must act on the same columns")
     pair = G.first_odd_pair(H)
     if pair:
         raise ValidationError(f"degeneracy row {pair[0]} is detectable, not undetectable")
-    im = BitMatrix.identity(m)
-    if m == 1:
-        P = H
-        Q = G
-    else:
-        R = repetition_transpose(m)
-        P = hstack(im.kron(H), R.kron(BitMatrix.identity(r)))
-        top = hstack(
-            R.transpose().kron(BitMatrix.identity(n)),
-            BitMatrix.identity(m - 1).kron(H.transpose()),
-        )
-        bottom = hstack(im.kron(G), BitMatrix.zeros(m * G.nrows, (m - 1) * r))
-        Q = vstack(top, bottom)
-    return FtCode(m, P, Q, n, r, d)
+    top, P = _product(BitMatrix(tuple(3 << i for i in range(m - 1)), m), H)
+    # each round's copy of G lies on the qubit columns, the first m*n
+    Q = BitMatrix(top.rows + BitMatrix.identity(m).kron(G).rows, P.cols)
+    return FtCode(m, P, Q, d)
 
 
 def ft_extend(code: CssCode, m: int, errors: str = "x") -> FtCode:

@@ -220,7 +220,7 @@ def write_csv(path_or_none, header: list[str], rows: list[list], config: dict) -
 
 def read_census_csv(path: str) -> dict[str, dict[int, int]]:
     """Parse a census CSV back into per-field count maps; every cell
-    must be an integer, read exactly."""
+    must be an integer, read exactly, and no weight m may repeat."""
     lines = [
         (i, ln.strip()) for i, ln in enumerate(_read_text(path, "census").splitlines(), start=1)
         if ln.strip() and not ln.startswith("#")
@@ -232,6 +232,7 @@ def read_census_csv(path: str) -> dict[str, dict[int, int]]:
     if "m" not in header:
         raise ValidationError(f"census CSV line {lineno}: missing 'm' column")
     fields: dict[str, dict[int, int]] = {h: {} for h in header if h != "m"}
+    seen: dict[int, int] = {}
     for lineno, ln in lines[1:]:
         try:
             values = [int(cell) for cell in ln.split(",")]
@@ -243,6 +244,8 @@ def read_census_csv(path: str) -> dict[str, dict[int, int]]:
             )
         row = dict(zip(header, values))
         m = row["m"]
+        if seen.setdefault(m, lineno) != lineno:
+            raise ValidationError(f"census CSV line {lineno}: weight {m} repeats line {seen[m]}")
         for h, table in fields.items():
             table[m] = row[h]
     return fields

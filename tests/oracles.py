@@ -11,7 +11,11 @@ by walking them, for checking space-time censuses past brute-force
 reach.  anticommuting_pair_literal, nonorthogonal_pair_literal and
 detectable_row_literal scan pairs of rows one at a time, the way code
 construction once checked generators and degeneracy rows, for checking
-gf2.BitMatrix.first_odd_pair.
+gf2.BitMatrix.first_odd_pair.  ft_extend_blocks lays out the space-time
+code block by block, with the repetition code's transpose, a separate
+single-round case and the source sizes stored beside the matrices, for
+checking that codes.ft_extend_matrices builds the same code as one
+hypergraph product.
 
 Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
@@ -24,8 +28,12 @@ sums they are used to check.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from clusterbounds.errors import ValidationError
+from clusterbounds.gf2 import BitMatrix, hstack, vstack
 
 
 @lru_cache(maxsize=None)
@@ -131,6 +139,70 @@ def detectable_row_literal(H, G) -> int | None:
         if any((h & g).bit_count() & 1 for h in H.rows):
             return i
     return None
+
+
+def repetition_transpose(m: int) -> BitMatrix:
+    """The m x (m-1) bidiagonal matrix coupling consecutive rounds: the
+    transpose of the repetition code's checks, row i = bits i and i+1."""
+    if m < 2:
+        raise ValidationError("need m >= 2")
+    return BitMatrix(tuple(3 << i for i in range(m - 1)), m).transpose()
+
+
+@dataclass(frozen=True)
+class FtBlocks:
+    """A space-time code with its source sizes n and r stored beside P."""
+
+    m: int
+    P: BitMatrix
+    Q: BitMatrix
+    n: int
+    r: int
+    D_ft: int | None = None
+
+    @property
+    def N(self) -> int:
+        return self.P.cols
+
+    @property
+    def w(self) -> int:
+        return self.P.max_row_weight()
+
+    @property
+    def K(self) -> int:
+        return self.N - self.P.rank() - self.Q.rank()
+
+    @property
+    def qubit_cols(self) -> int:
+        return self.m * self.n
+
+
+def ft_extend_blocks(H, G, m: int, d: int | None = None) -> FtBlocks:
+    """The space-time code of a (checks, degeneracy) pair over m rounds,
+    block by block: P = (I_m (x) H | R (x) I_r) and Q stacks
+    (R^T (x) I_n | I_(m-1) (x) H^T) over (I_m (x) G | 0), with R the
+    repetition transpose; one round is the bare pair."""
+    if m < 1:
+        raise ValidationError(f"need at least one measurement round, got {m}")
+    if d is not None and d < 1:
+        raise ValidationError(f"known distance must be at least 1, got {d}")
+    r, n = H.shape
+    if G.cols != n:
+        raise ValidationError("H and G must act on the same columns")
+    row = detectable_row_literal(H, G)
+    if row is not None:
+        raise ValidationError(f"degeneracy row {row} is detectable, not undetectable")
+    if m == 1:
+        return FtBlocks(1, H, G, n, r, d)
+    im = BitMatrix.identity(m)
+    R = repetition_transpose(m)
+    P = hstack(im.kron(H), R.kron(BitMatrix.identity(r)))
+    top = hstack(
+        R.transpose().kron(BitMatrix.identity(n)),
+        BitMatrix.identity(m - 1).kron(H.transpose()),
+    )
+    bottom = hstack(im.kron(G), BitMatrix.zeros(m * G.nrows, (m - 1) * r))
+    return FtBlocks(m, P, vstack(top, bottom), n, r, d)
 
 
 def subset_xors(words) -> dict[int, list[int]]:

@@ -404,6 +404,15 @@ class TestFit:
         assert "growth_base = 3" in out
         assert '"growth_base": 3' in (tmp_path / "fit.json").read_text()
 
+    def test_repeated_weight_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "census.csv"
+        rows = [[4, 6], [5, 12], [4, 2], [6, 40], [7, 90]]
+        write_csv(str(path), ["m", "irreducible"], rows, {"command": "census"})
+        assert run("fit", str(path), "--field", "irreducible") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: census CSV line 6: weight 4 repeats line 4\n"
+        assert captured.out == ""
+
     def test_m_min_applies_without_m_max(self, tmp_path, capsys):
         census = tmp_path / "cx.csv"
         assert run("census", "toric", "--L", "3", "--sector", "x", "--m-max", "6",

@@ -220,7 +220,7 @@ class TestEnumerate:
         with pytest.raises(ValidationError, match="row 0 is detectable"):
             ft_extend_matrices(toric2.G_Z, BitMatrix.identity(toric2.n), 2)
         # a code built around that check still fails the census's own
-        ft = FtCode(1, toric2.G_Z, BitMatrix.identity(toric2.n), toric2.n, toric2.G_Z.nrows)
+        ft = FtCode(1, toric2.G_Z, BitMatrix.identity(toric2.n))
         with pytest.raises(ValidationError, match="undetectable"):
             enumerate_clusters(ft, 2, sector="ft")
 

@@ -15,7 +15,6 @@ from clusterbounds import (
     min_nontrivial_weight,
     new_css,
     new_stabilizer,
-    repetition_transpose,
     toric_code,
 )
 from clusterbounds.codes import CssCode, FtCode, StabilizerCode
@@ -27,7 +26,9 @@ from hypothesis import strategies as st
 from oracles import (
     anticommuting_pair_literal,
     detectable_row_literal,
+    ft_extend_blocks,
     nonorthogonal_pair_literal,
+    repetition_transpose,
     toric_rows_literal,
 )
 
@@ -245,6 +246,8 @@ class TestHypergraphProduct:
 
 
 class TestRepetitionTranspose:
+    """The block oracle's coupling matrix between consecutive rounds."""
+
     def test_m2(self):
         assert repetition_transpose(2) == BitMatrix.from_lists([[1], [1]])
 
@@ -307,6 +310,61 @@ class TestFtExtend:
         with pytest.raises(ValidationError, match="at least one measurement round"):
             ft_extend(toric2, 0, errors="x")
 
+    def test_check_matrix_must_factor_over_the_rounds(self, toric3):
+        ft = ft_extend(toric3, 2, errors="x")
+        assert ft.P.shape == (18, 45) and (ft.n, ft.r) == (18, 9)
+        with pytest.raises(ValidationError, match=r"\(18, 45\) does not factor over 5 rounds"):
+            FtCode(5, ft.P, ft.Q)
+        # 9 rounds split the 18 rows, but not the 45 - 8*2 columns
+        with pytest.raises(ValidationError, match="does not factor over 9 rounds"):
+            FtCode(9, ft.P, ft.Q)
+        with pytest.raises(ValidationError, match="at least one measurement round"):
+            FtCode(0, ft.P, ft.Q)
+        assert FtCode(1, ft.P, ft.Q) == ft_extend_matrices(ft.P, ft.Q, 1)
+
+    def test_matches_the_block_construction(self):
+        """One hypergraph product with the repetition code builds what
+        the block-by-block layout built, and refuses what it refused
+        with the same error."""
+        seen = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            data=st.data(),
+            n=st.integers(1, 5),
+            m=st.integers(-1, 5),
+            d=st.none() | st.integers(-1, 4),
+        )
+        def run(data, n, m, d):
+            H = BitMatrix(tuple(data.draw(rows_of(n))), n)
+            if data.draw(st.booleans()):
+                # undetectable rows: sums of H's kernel vectors
+                basis = [v.bits for v in H.kernel_basis()]
+                picks = data.draw(st.lists(st.integers(0, (1 << len(basis)) - 1), max_size=4))
+                G = BitMatrix(tuple(span_element(basis, p) for p in picks), n)
+            else:
+                g_cols = data.draw(st.sampled_from([n, n, n, n + 1]))
+                G = BitMatrix(tuple(data.draw(rows_of(g_cols))), g_cols)
+            try:
+                want = ft_extend_blocks(H, G, m, d)
+            except ValidationError as err:
+                with pytest.raises(type(err)) as got:
+                    ft_extend_matrices(H, G, m, d)
+                assert str(got.value) == str(err)
+                seen.add(str(err).split(" ")[0])
+                return
+            ft = ft_extend_matrices(H, G, m, d)
+            assert (ft.m, ft.P, ft.Q, ft.n, ft.r, ft.D_ft) == (
+                want.m, want.P, want.Q, want.n, want.r, want.D_ft
+            )
+            assert (ft.N, ft.K, ft.w, ft.qubit_cols) == (want.N, want.K, want.w, want.qubit_cols)
+            seen.add("built")
+
+        run()
+        # built, and refused for rounds ("need"), distance ("known"),
+        # columns ("H") and a detectable row ("degeneracy")
+        assert seen == {"built", "need", "known", "H", "degeneracy"}
+
 
 @pytest.mark.parametrize("d", [0, -4])
 def test_known_distance_below_one_rejected(toric2, d):
@@ -321,6 +379,20 @@ def test_known_distance_below_one_rejected(toric2, d):
 
 def nonzero_rows(cols: int, max_rows: int):
     return st.lists(st.integers(1, (1 << cols) - 1), min_size=1, max_size=max_rows)
+
+
+def rows_of(cols: int):
+    """Up to four rows of the given width, zero rows allowed."""
+    return st.lists(st.integers(0, (1 << cols) - 1), max_size=4)
+
+
+def span_element(basis: list[int], mask: int) -> int:
+    """XOR of the basis words picked by the set bits of mask."""
+    word = 0
+    for i, b in enumerate(basis):
+        if (mask >> i) & 1:
+            word ^= b
+    return word
 
 
 def for_random_matrices(check, max_cols: int):
@@ -387,7 +459,7 @@ class TestOddPairs:
             row = detectable_row_literal(H, G)
             pair = G.first_odd_pair(H)
             assert (None if pair is None else pair[0]) == row
-            bare = FtCode(1, H, G, n, H.nrows)
+            bare = FtCode(1, H, G)
             if row is None:
                 ft = ft_extend_matrices(H, G, rounds)
                 assert (ft.P @ ft.Q.transpose()).is_zero()
@@ -439,7 +511,7 @@ class TestComputedAttributes:
     def test_fields_are_the_defining_matrices(self, toric2):
         assert [f.name for f in fields(toric2.stabilizer)] == ["G", "d"]
         assert [f.name for f in fields(toric2)] == ["G_X", "G_Z", "d"]
-        assert [f.name for f in fields(ft_extend(toric2, 2))] == ["m", "P", "Q", "n", "r", "D_ft"]
+        assert [f.name for f in fields(ft_extend(toric2, 2))] == ["m", "P", "Q", "D_ft"]
 
     def test_random_hypergraph_products_and_space_time_codes(self):
         rng = random.Random(7)

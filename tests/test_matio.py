@@ -222,6 +222,12 @@ class TestTables:
         with pytest.raises(ValidationError, match="line 5"):
             read_census_csv(str(path))
 
+    def test_census_csv_rejects_repeated_weight(self, tmp_path):
+        path = tmp_path / "census.csv"
+        write_csv(str(path), ["m", "distinct"], [[4, 6], [5, 2], [4, 9]], {"command": "census"})
+        with pytest.raises(ValidationError, match="^census CSV line 6: weight 4 repeats line 4$"):
+            read_census_csv(str(path))
+
     def test_census_csv_missing_file(self):
         with pytest.raises(ValidationError, match="cannot read census file"):
             read_census_csv("/nonexistent/census.csv")
