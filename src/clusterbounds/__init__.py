@@ -20,7 +20,6 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     hstack,
-    vstack,
 )
 from .codes import (
     CssCode,
@@ -120,5 +119,4 @@ __all__ = [
     "solve_threshold",
     "threshold_curve",
     "toric_code",
-    "vstack",
 ]

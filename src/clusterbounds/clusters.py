@@ -94,8 +94,9 @@ kernel vector per class modulo the checks' span: k of them in a single
 sector, K in the space-time code and 2k in the full sector.  A
 cluster's word meets such a vector oddly exactly when an odd number of
 its entries' words do, so each vector is kept as the key mask of those
-entries, in a binary sector the vector itself, and every sector tests a
-cluster by the parity of its key under each mask.  is_irreducible keeps the
+entries, its product by gf2's BitMatrix @ with the entries' words (in a
+binary sector the vector itself), and every sector tests a cluster by
+the parity of its key under each mask.  is_irreducible keeps the
 rank by gf2.echelon, decompose splits along gf2.kernel vectors, and the
 brute-force census tests subsets and the residue by the degeneracy rows'
 echelon basis, so each checks the census's rules independently.
@@ -310,26 +311,21 @@ def _problem(
 ) -> _Problem:
     """Entry e is word words[e] and flips check i when words[e] meets
     row i of checks with odd parity.  Checks are served in ascending
-    order of the number of positions they touch, ties by row index."""
+    order of the number of positions they touch, ties by row index.
+
+    Which entries a row meets oddly is one GF(2) product: column e of
+    meets is words[e], so row i of checks @ meets is the key mask of the
+    entries flipping check i, and a kernel class's row times meets is
+    its parity mask.  The entries' syndromes are the transpose of the
+    flip masks taken in search order."""
     if degeneracy.first_odd_pair(checks):
         raise ValidationError("every degeneracy row must be undetectable by the checks")
-    # a word meets a row only at the row's set bits, so each row's parity
-    # is taken over the entries holding those bits
-    holders: dict[int, list[int]] = {}
-    for e, w in enumerate(words):
-        for b in set_bits(w):
-            holders.setdefault(b, []).append(e)
-    flips = []
-    for row in checks.rows:
-        odd: set[int] = set()
-        for b in set_bits(row):
-            odd.symmetric_difference_update(holders.get(b, ()))
-        flips.append(sorted(odd))
-    order = sorted(range(len(flips)), key=lambda i: (len({e // width for e in flips[i]}), i))
-    syn = [0] * len(words)
-    for i, c in enumerate(order):
-        for e in flips[c]:
-            syn[e] |= 1 << i
+    meets = BitMatrix(tuple(words), checks.cols).transpose()
+    flips = (checks @ meets).rows
+    order = sorted(
+        range(len(flips)), key=lambda i: (len({e // width for e in set_bits(flips[i])}), i)
+    )
+    syn = BitMatrix(tuple(flips[c] for c in order), len(words)).transpose().rows
     position = (1 << width) - 1
     seeds = tuple((syn[e], 1 << e, position << (e - e % width)) for e in range(len(words)))
     closers: dict[int, list[tuple[int, int]]] = {}
@@ -341,7 +337,7 @@ def _problem(
     # a pair is listed once, under the lowest check both entries flip, so
     # the table has at most the sum over checks of |entries flipping it|^2
     # rows
-    branches = tuple(tuple(seeds[e] for e in flips[c]) for c in order)
+    branches = tuple(tuple(seeds[e] for e in set_bits(flips[c])) for c in order)
     pairs: dict[int, list[tuple[int, int]]] = {}
     for i, flipping in enumerate(branches):
         for d1, b1, x1 in flipping:
@@ -357,7 +353,7 @@ def _problem(
     basis = echelon([*checks.rows, *kernel_words])
     return _Problem(
         width=width,
-        syn=tuple(syn),
+        syn=syn,
         deg=tuple(words),
         branches=branches,
         closers=closers,
@@ -370,11 +366,10 @@ def _problem(
             else None
         ),
         degeneracy=echelon(degeneracy.rows),
-        parities=tuple(
-            sum(1 << e for e, w in enumerate(words) if (w & p).bit_count() & 1)
-            for top, p in basis.items()
-            if top not in check_basis
-        ),
+        parities=(
+            BitMatrix(tuple(p for top, p in basis.items() if top not in check_basis), checks.cols)
+            @ meets
+        ).rows,
         bound=bound,
     )
 

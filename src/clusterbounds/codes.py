@@ -288,7 +288,7 @@ class FtCode:
     (the last round is taken as read out exactly).  Q spans the
     degeneracy: products of generators and errors that cancel between
     consecutive rounds.  n and r are read off P's shape, which must
-    factor over the m rounds.
+    factor over the m rounds, and Q acts on P's N columns.
 
     D_ft is the source code's known distance d.  It bounds the
     space-time distance from below, and is exact when the tracked
@@ -307,6 +307,8 @@ class FtCode:
         m, r, n = self.m, self.r, self.n
         if n < 0 or self.P.shape != (m * r, m * n + (m - 1) * r):
             raise ValidationError(f"P of shape {self.P.shape} does not factor over {m} rounds")
+        if self.Q.cols != self.P.cols:
+            raise ValidationError(f"Q has {self.Q.cols} columns but P has {self.P.cols}")
 
     @property
     def r(self) -> int:

@@ -14,11 +14,15 @@ kernel runs it on tagged words to read off kernel vectors.  Rank, row
 space membership, kernels, the cluster classifier and degeneracy test,
 decomposition and the distance search all go through these three.
 
-BitMatrix.first_odd_pair reads the first pair of rows of two matrices
-that meet with odd parity off their product a @ b^T.  Every check that
-one matrix's rows are undetectable by another's goes through it:
-commuting stabilizer generators, orthogonal CSS sectors, and the
-degeneracy rows of a census's problem and of the space-time code.
+BitMatrix @ is the package's one sparse product: row i of a @ b is the
+XOR of the rows of b at the set bits of row i of a, so it decides which
+rows meet which columns with odd parity.  BitMatrix.first_odd_pair reads
+the first pair of rows of two matrices that meet oddly off a @ b^T, and
+every check that one matrix's rows are undetectable by another's goes
+through it: commuting stabilizer generators, orthogonal CSS sectors,
+and the degeneracy rows of a census's problem and of the space-time
+code.  The census reads its entries' syndromes and its parity masks off
+the same product, and transpose gives the alist writer its columns.
 
 zero_sum_choices is the one exhaustive scan for zero-sum selections of
 columns; the brute-force cluster census and the distance search use it.
@@ -134,10 +138,6 @@ class BitMatrix:
                 raise ValidationError(f"row {i} has bits beyond column {self.cols - 1}")
 
     # -- construction ------------------------------------------------
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls((0,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -311,11 +311,6 @@ def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         raise ValidationError(f"row mismatch in hstack: {a.nrows} != {b.nrows}")
     rows = tuple(ra | (rb << a.cols) for ra, rb in zip(a.rows, b.rows))
     return BitMatrix(rows, a.cols + b.cols)
-
-
-def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    _require_same_len(a.cols, b.cols)
-    return BitMatrix(a.rows + b.rows, a.cols)
 
 
 def zero_sum_choices(

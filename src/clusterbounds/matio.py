@@ -91,10 +91,7 @@ def parse_alist(text: str) -> BitMatrix:
 def write_alist(matrix: BitMatrix) -> str:
     m, n = matrix.shape
     rws = [[c + 1 for c in set_bits(row)] for row in matrix.rows]
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for i, r in enumerate(rws):
-        for c in r:
-            cols[c - 1].append(i + 1)
+    cols = [[i + 1 for i in set_bits(col)] for col in matrix.transpose().rows]
     out = [
         f"{n} {m}",
         f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in rws), default=0)}",

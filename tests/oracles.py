@@ -15,7 +15,11 @@ gf2.BitMatrix.first_odd_pair.  ft_extend_blocks lays out the space-time
 code block by block, with the repetition code's transpose, a separate
 single-round case and the source sizes stored beside the matrices, for
 checking that codes.ft_extend_matrices builds the same code as one
-hypergraph product.
+hypergraph product.  problem_literal finds each check's entries, each
+entry's syndrome and each kernel class's parity mask by scanning words
+bit by bit, and write_alist_literal lists an alist's columns by
+appending row indices, for checking that the census problem and alist
+output read these off gf2.BitMatrix products and transposes.
 
 Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
@@ -33,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from clusterbounds.errors import ValidationError
-from clusterbounds.gf2 import BitMatrix, hstack, vstack
+from clusterbounds.gf2 import BitMatrix, echelon, hstack
 
 
 @lru_cache(maxsize=None)
@@ -201,8 +205,65 @@ def ft_extend_blocks(H, G, m: int, d: int | None = None) -> FtBlocks:
         R.transpose().kron(BitMatrix.identity(n)),
         BitMatrix.identity(m - 1).kron(H.transpose()),
     )
-    bottom = hstack(im.kron(G), BitMatrix.zeros(m * G.nrows, (m - 1) * r))
-    return FtBlocks(m, P, vstack(top, bottom), n, r, d)
+    bottom = hstack(im.kron(G), BitMatrix((0,) * (m * G.nrows), (m - 1) * r))
+    return FtBlocks(m, P, BitMatrix(top.rows + bottom.rows, top.cols), n, r, d)
+
+
+def _bits(word: int) -> list[int]:
+    return [b for b in range(word.bit_length()) if word >> b & 1]
+
+
+def problem_literal(checks, words, width: int, degeneracy):
+    """(syn, branches, parities) of the census problem, entry by entry:
+    each check row's parity is taken over the entries holding its set
+    bits, the checks are ordered by the positions they touch (ties by
+    row index), and each kernel class's parity mask sets the entries
+    whose words meet its vector oddly."""
+    holders: dict[int, list[int]] = {}
+    for e, w in enumerate(words):
+        for b in _bits(w):
+            holders.setdefault(b, []).append(e)
+    flips = []
+    for row in checks.rows:
+        odd: set[int] = set()
+        for b in _bits(row):
+            odd.symmetric_difference_update(holders.get(b, ()))
+        flips.append(sorted(odd))
+    order = sorted(range(len(flips)), key=lambda i: (len({e // width for e in flips[i]}), i))
+    syn = [0] * len(words)
+    for i, c in enumerate(order):
+        for e in flips[c]:
+            syn[e] |= 1 << i
+    position = (1 << width) - 1
+    seeds = [(syn[e], 1 << e, position << (e - e % width)) for e in range(len(words))]
+    branches = tuple(tuple(seeds[e] for e in flips[c]) for c in order)
+    check_basis = echelon(checks.rows)
+    basis = echelon([*checks.rows, *(v.bits for v in degeneracy.kernel_basis())])
+    parities = tuple(
+        sum(1 << e for e, w in enumerate(words) if (w & p).bit_count() & 1)
+        for top, p in basis.items()
+        if top not in check_basis
+    )
+    return tuple(syn), branches, parities
+
+
+def write_alist_literal(matrix) -> str:
+    """alist text of a matrix, its column lists appended row by row."""
+    m, n = matrix.shape
+    rws = [[c + 1 for c in _bits(row)] for row in matrix.rows]
+    cols: list[list[int]] = [[] for _ in range(n)]
+    for i, r in enumerate(rws):
+        for c in r:
+            cols[c - 1].append(i + 1)
+    out = [
+        f"{n} {m}",
+        f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in rws), default=0)}",
+        " ".join(str(len(c)) for c in cols),
+        " ".join(str(len(r)) for r in rws),
+    ]
+    out += [" ".join(map(str, c)) if c else "0" for c in cols]
+    out += [" ".join(map(str, r)) if r else "0" for r in rws]
+    return "\n".join(out) + "\n"
 
 
 def subset_xors(words) -> dict[int, list[int]]:

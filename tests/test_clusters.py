@@ -2,7 +2,7 @@ import concurrent.futures
 import itertools
 import random
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from operator import or_, xor
 from unittest.mock import patch
 
@@ -10,7 +10,7 @@ import pytest
 from conftest import make_random_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cubic_polygons
+from oracles import cubic_polygons, problem_literal
 
 from clusterbounds import (
     Cluster,
@@ -36,7 +36,7 @@ from clusterbounds import (
     toric_code,
 )
 import clusterbounds.clusters as clusters_module
-from clusterbounds.clusters import _build_problem, _frontier
+from clusterbounds.clusters import _build_problem, _frontier, _problem
 from clusterbounds.codes import CssCode, FtCode
 from clusterbounds.gf2 import BitMatrix, BitVector, echelon, residue, set_bits
 
@@ -1030,3 +1030,58 @@ class TestBoundaryEntries:
         problem = _build_problem(code, "x")
         assert max(s.bit_count() for s in problem.syn) == 3
         assert problem.edges is None
+
+
+class TestProblemProduct:
+    def test_matches_the_entry_scan(self):
+        """Each check's entries, each entry's syndrome and each kernel
+        class's parity mask, read off one GF(2) product, equal a scan of
+        the words bit by bit."""
+        seen = set()
+
+        @settings(max_examples=250, deadline=None)
+        @given(
+            data=st.data(),
+            width=st.sampled_from([1, 3]),
+            cols=st.integers(0, 6),
+            positions=st.integers(0, 4),
+        )
+        def run(data, width, cols, positions):
+            word = st.integers(0, (1 << cols) - 1)
+            checks = BitMatrix(tuple(data.draw(st.lists(word, max_size=5))), cols)
+            # sums of the checks' kernel vectors are undetectable rows
+            kernel = [v.bits for v in checks.kernel_basis()]
+            picks = data.draw(st.lists(st.integers(0, (1 << len(kernel)) - 1), max_size=3))
+            degeneracy = BitMatrix(
+                tuple(reduce(xor, (k for i, k in enumerate(kernel) if p >> i & 1), 0) for p in picks),
+                cols,
+            )
+            size = width * positions
+            words = data.draw(st.lists(word, min_size=size, max_size=size))
+            problem = _problem(checks, words, width, degeneracy, partial(int))
+            assert (problem.syn, problem.branches, problem.parities) == problem_literal(
+                checks, words, width, degeneracy
+            )
+            seen.add(f"width {width}")
+            if not checks.rows:
+                seen.add("no checks")
+            if any(w and not s for w, s in zip(words, problem.syn)) and checks.rows:
+                seen.add("zero column")
+            flipping = [s for s in problem.syn if s]
+            if len(set(flipping)) < len(flipping):
+                seen.add("repeated column")
+            if 0 in words:
+                seen.add("zero word")
+            if any(problem.parities):
+                seen.add("parity mask")
+
+        run()
+        assert seen == {
+            "width 1",
+            "width 3",
+            "no checks",
+            "zero column",
+            "repeated column",
+            "zero word",
+            "parity mask",
+        }

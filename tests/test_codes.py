@@ -115,7 +115,7 @@ class TestNewStabilizer:
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValidationError):
-            new_stabilizer(BitMatrix.zeros(1, 4))
+            new_stabilizer(BitMatrix((0,), 4))
 
     def test_odd_column_count_rejected(self):
         with pytest.raises(ValidationError, match="2n columns"):
@@ -242,7 +242,7 @@ class TestHypergraphProduct:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValidationError):
-            hypergraph_product(BitMatrix.zeros(2, 3), BitMatrix.identity(2))
+            hypergraph_product(BitMatrix((0,) * 2, 3), BitMatrix.identity(2))
 
 
 class TestRepetitionTranspose:
@@ -321,6 +321,15 @@ class TestFtExtend:
         with pytest.raises(ValidationError, match="at least one measurement round"):
             FtCode(0, ft.P, ft.Q)
         assert FtCode(1, ft.P, ft.Q) == ft_extend_matrices(ft.P, ft.Q, 1)
+
+    def test_degeneracy_rows_must_fit_the_checks(self, toric2):
+        ft = ft_extend(toric2, 2, errors="x")
+        assert ft.P.shape == (8, 20) and ft.Q.shape == (16, 20)
+        wide = BitMatrix(ft.Q.rows, ft.Q.cols + 3)
+        with pytest.raises(ValidationError, match="Q has 23 columns but P has 20"):
+            FtCode(2, ft.P, wide)
+        with pytest.raises(ValidationError, match="Q has 17 columns but P has 20"):
+            FtCode(2, ft.P, BitMatrix(tuple(r & (1 << 17) - 1 for r in ft.Q.rows), 17))
 
     def test_matches_the_block_construction(self):
         """One hypergraph product with the repetition code builds what

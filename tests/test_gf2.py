@@ -14,7 +14,6 @@ from clusterbounds.gf2 import (
     kernel,
     residue,
     set_bits,
-    vstack,
     zero_sum_choices,
     zero_sum_work,
 )
@@ -71,7 +70,7 @@ class TestBitVector:
 
 class TestRankKernel:
     def test_zero_matrix_rank(self):
-        assert BitMatrix.zeros(3, 3).rank() == 0
+        assert BitMatrix((0,) * 3, 3).rank() == 0
 
     def test_identity_rank(self):
         assert BitMatrix.identity(3).rank() == 3
@@ -89,7 +88,7 @@ class TestRankKernel:
         assert m.kernel_dimension() == 3
 
     def test_kernel_zero_row(self):
-        assert BitMatrix.zeros(1, 5).kernel_dimension() == 5
+        assert BitMatrix((0,), 5).kernel_dimension() == 5
 
     def test_rank_nullity(self):
         rng = random.Random(1)
@@ -117,7 +116,7 @@ class TestRowSpace:
         assert m.row_space_contains(BitVector.from01("1011"))
 
     def test_zero_matrix_contains_nothing_nonzero(self):
-        m = BitMatrix.zeros(2, 4)
+        m = BitMatrix((0,) * 2, 4)
         assert not m.row_space_contains(BitVector.from01("0100"))
         assert m.row_space_contains(BitVector(4))
 
@@ -249,7 +248,6 @@ class TestMatmulStack:
         a = BitMatrix.from_lists([[1, 0], [0, 1]])
         b = BitMatrix.from_lists([[1, 1], [0, 0]])
         assert hstack(a, b) == BitMatrix.from_lists([[1, 0, 1, 1], [0, 1, 0, 0]])
-        assert vstack(a, b) == BitMatrix.from_lists([[1, 0], [0, 1], [1, 1], [0, 0]])
 
     def test_shape_errors(self):
         with pytest.raises(ValidationError):

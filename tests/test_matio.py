@@ -16,6 +16,7 @@ from clusterbounds.matio import (
     write_alist,
     write_csv,
 )
+from oracles import write_alist_literal
 
 
 def random_bitmatrix(rng, rows, cols):
@@ -234,6 +235,20 @@ class TestTables:
 
 
 class TestRoundTripProperties:
+    def test_alist_columns_match_the_row_append_listing(self):
+        seen = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(data=st.data(), nrows=st.integers(0, 5), cols=st.integers(0, 8))
+        def run(data, nrows, cols):
+            row = st.integers(0, (1 << cols) - 1)
+            m = BitMatrix(tuple(data.draw(st.lists(row, min_size=nrows, max_size=nrows))), cols)
+            assert write_alist(m).encode() == write_alist_literal(m).encode()
+            seen.add("0 x n" if not nrows else "r x 0" if not cols else "r x n")
+
+        run()
+        assert seen == {"0 x n", "r x 0", "r x n"}
+
     @settings(max_examples=50, deadline=None)
     @given(m=_matrices)
     def test_matrix_formats(self, m, scratch):
