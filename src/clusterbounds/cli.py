@@ -214,7 +214,9 @@ def _cmd_threshold(args) -> int:
         "w": args.w,
         "w_X": args.wx,
         "w_Z": args.wz,
-        "D": args.D,
+        # the text float() read: it skips surrounding whitespace, so the
+        # output must too
+        "D": args.D.strip(),
         **given,
     }
     if args.curve:

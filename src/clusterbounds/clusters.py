@@ -4,9 +4,12 @@ Every sector is one flat list of entry columns.  An entry is a
 single-position error: a column of a binary sector (a single CSS sector
 or the space-time code), or one label on one qubit of the full-Pauli
 sector, where entry 3j + l puts "XYZ"[l] on qubit j.  Each entry carries
-its syndrome word, its key bit 1 << e and an exclusion mask over every
-entry of its position, so a cluster's key (the OR of its entry bits)
-also marks the positions it uses.
+its syndrome word, its key bit and an exclusion mask over every entry of
+its position.  Of n entries, entry e's key bit is 1 << e, and in a
+graph-like sector (below) also its edge, n bits up.  So a cluster's key,
+the OR of its entries' bits, marks the positions it uses and, in a
+graph-like sector, the checks it touches.  Exclusion and parity masks
+cover only the low n bits, so they read a key as its entries.
 
 The search seeds a single entry somewhere, then repeatedly repairs the
 first violated check by placing one more entry inside that check's
@@ -67,7 +70,7 @@ and the memory cap bound the frontier's size.  A census deals the
 frontier's states into one strided share per worker, as (key, syndrome,
 multiplicity) starts, searches each share apart (in process when there
 is one, on a process pool otherwise), and merges the shares' path counts
-and keys.
+and their maps from each distinct cluster's entry bits to its class.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -81,9 +84,11 @@ check one bit past the last, and an entry that flips no check is a loop
 at the phantom.  Every edge then has two ends, so the words of a
 connected cluster have rank V - 1 for the V checks it touches, phantom
 included.  The repair rule places every entry on a check that an earlier
-entry left violated, so a recorded cluster is connected, and the census
-counts it irreducible exactly when V = m.  In every other sector it
-takes the rank from gf2.echelon.  A cluster's word is the XOR of one
+entry left violated, so a recorded cluster is connected, and it is
+irreducible exactly when V = m.  The key's bits above its entries are
+the V checks, so the search classifies each cluster when it first
+records it.  In every other sector the census takes the rank from
+gf2.echelon after the search.  A cluster's word is the XOR of one
 word per entry, (v|u) for a Pauli label and the column bit for a binary
 entry.  An undetectable word lies in the degeneracy group exactly when
 it meets every vector of the degeneracy rows' kernel evenly, and the
@@ -224,11 +229,12 @@ class _Problem:
     # per check in search order: the OR of the syndrome words of every
     # entry that flips it, the checks an entry placed there can touch
     reach: tuple
-    # in a graph-like sector (width 1, no word of more than two bits):
-    # key bit -> syndrome word of every entry, with a phantom check one
-    # bit past the last for an entry that flips fewer than two checks;
-    # None in any other sector
-    edges: dict | None
+    # per entry: (syndrome word, key bit, exclusion mask); in a
+    # graph-like sector (width 1, no word of more than two bits) entry
+    # e's key bit also sets its edge len(syn) bits up: its syndrome word,
+    # with a phantom check one bit past the last for an entry that flips
+    # fewer than two checks
+    seeds: tuple
     # echelon basis of the degeneracy group's rows
     degeneracy: dict
     # one key mask per class of the degeneracy rows' kernel modulo the
@@ -326,8 +332,10 @@ def _problem(
         range(len(flips)), key=lambda i: (len({e // width for e in set_bits(flips[i])}), i)
     )
     syn = BitMatrix(tuple(flips[c] for c in order), len(words)).transpose().rows
-    position = (1 << width) - 1
-    seeds = tuple((syn[e], 1 << e, position << (e - e % width)) for e in range(len(words)))
+    position, n, phantom = (1 << width) - 1, len(words), 1 << len(order)
+    graph_like = width == 1 and all(s.bit_count() <= 2 for s in syn)
+    tags = [(s if s.bit_count() == 2 else s | phantom) << n if graph_like else 0 for s in syn]
+    seeds = tuple((s, 1 << e | tags[e], position << (e - e % width)) for e, s in enumerate(syn))
     closers: dict[int, list[tuple[int, int]]] = {}
     lowest: list[list[tuple[int, int, int]]] = [[] for _ in order]
     for ds, bit, excl in seeds:
@@ -360,11 +368,7 @@ def _problem(
         pairs=pairs,
         lowest=tuple(tuple(low) for low in lowest),
         reach=tuple(reduce(or_, (ds for ds, _, _ in flipping), 0) for flipping in branches),
-        edges=(
-            {1 << e: s if s.bit_count() == 2 else s | 1 << len(order) for e, s in enumerate(syn)}
-            if width == 1 and all(s.bit_count() <= 2 for s in syn)
-            else None
-        ),
+        seeds=seeds,
         degeneracy=echelon(degeneracy.rows),
         parities=(
             BitMatrix(tuple(p for top, p in basis.items() if top not in check_basis), checks.cols)
@@ -393,7 +397,7 @@ def _frontier(problem: _Problem, m_max: int, limit: int) -> dict[int, tuple[int,
     the children of the empty cluster).  The unexpanded rest of a partly
     grown layer stays at its depth.  Completed keys (zero syndrome) stay
     in the frontier and are recorded from it."""
-    layer = {1 << e: (s, 1) for e, s in enumerate(problem.syn)}
+    layer = {bit: (s, 1) for s, bit, _ in problem.seeds}
     for _ in range(m_max - 3):
         grown: dict[int, tuple[int, int]] = {}
         while layer:
@@ -500,11 +504,11 @@ def _cap_error(cap: int) -> ResourceCapError:
 
 def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     """Depth-first search from (key, syndrome, multiplicity) starts;
-    returns per-weight path counts and the list of distinct recorded
-    cluster keys, raising ResourceCapError once there are more than cap
-    of them.  A list, not the run's set, because a worker process sends
-    it back: the parent unpickles a list of keys into less memory than a
-    set.
+    returns per-weight path counts and a dict from each distinct recorded
+    cluster's entry bits to its class, raising ResourceCapError once
+    there are more than cap of them.  The class is whether the cluster is
+    irreducible, V = m for the V checks its key's high bits name, in a
+    graph-like sector, and None in any other.
 
     Every completion below a start is recorded with the start's
     multiplicity, so paths counts the search paths through all orderings
@@ -522,17 +526,22 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     branches = problem.branches
     complete = _completer(problem)
     paths = [0] * (m_max + 1)
-    found: set[int] = set()
+    found: dict[int, bool | None] = {}
     mult = 1
+    n = len(problem.syn)
+    entries = (1 << n) - 1
     # tables[left], for 1 <= left <= 3: syndrome -> the rows for key 0
     tables: tuple[dict[int, list], ...] = ({}, {}, {}, {})
 
     def record(key: int) -> None:
-        paths[key.bit_count()] += mult
-        if key not in found:
+        k = key & entries
+        m = k.bit_count()
+        paths[m] += mult
+        if k not in found:
             if len(found) >= cap:
                 raise _cap_error(cap)
-            found.add(key)
+            touched = key >> n
+            found[k] = touched.bit_count() == m if touched else None
 
     def finish(key: int, s: int, left: int) -> None:
         if s.bit_count() > 2:
@@ -559,18 +568,17 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
                 finish(key | bit, ns, left)
 
     for key, s, mult in starts:
-        left = m_max - key.bit_count()
+        left = m_max - (key & entries).bit_count()
         if s == 0:
             record(key)
         elif left > 3:
             go(key, s, left)
         elif left:
             finish(key, s, left)
-    # go refers to itself, so without this the run's key set and tables
-    # would outlive it until a full garbage collection, beside the merged
-    # set that the caller builds from the returned list
+    # go refers to itself, so without this the run's tables would outlive
+    # it until a full garbage collection
     del go
-    return paths, [*found]
+    return paths, found
 
 
 def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
@@ -588,27 +596,18 @@ def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
     )
 
 
-def _classify(problem: _Problem, keys, paths: list[int], keep: bool) -> ClusterCensus:
+def _classify(problem: _Problem, found: dict, paths: list[int], keep: bool) -> ClusterCensus:
     m_max = len(paths) - 1
     distinct = [0] * (m_max + 1)
     irred = [0] * (m_max + 1)
     nonstab = [0] * (m_max + 1)
     kept: list[list[Cluster]] | None = [[] for _ in range(m_max + 1)] if keep else None
-    syn, edges, parities = problem.syn, problem.edges, problem.parities
-    for key in keys:
+    syn, parities = problem.syn, problem.parities
+    for key, irreducible in found.items():
         m = key.bit_count()
         distinct[m] += 1
-        if edges is None:
+        if irreducible is None:
             irreducible = m - len(echelon([syn[e] for e in set_bits(key)])) == 1
-        else:
-            # rank V - 1 for V checks touched, phantom included, as the
-            # module docstring derives; the one hot set-bit walk
-            touched, rest = 0, key
-            while rest:
-                low = rest & -rest
-                touched |= edges[low]
-                rest ^= low
-            irreducible = touched.bit_count() == m
         if irreducible:
             irred[m] += 1
             for p in parities:
@@ -637,8 +636,8 @@ def enumerate_clusters(
     i mod N, for N = min(workers, frontier size), and one map runs the
     depth-first search on every share: the built-in map for one share,
     a pool of N worker processes for more.  The shares' path counts are
-    summed and their keys merged into one set, so the census does not
-    depend on the worker count or the schedule.
+    summed and their dicts of distinct clusters merged into the first,
+    so the census does not depend on the worker count or the schedule.
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
@@ -668,16 +667,19 @@ def enumerate_clusters(
 
         pool = ProcessPoolExecutor(n)
         run = pool.map
-    paths, found = [0] * (m_max + 1), set()
+    paths, found = [0] * (m_max + 1), {}
     with pool:
         shares = [starts[i::n] for i in range(n)]
         results = run(_run_seeds, repeat(problem), shares, repeat(m_max), repeat(max_stored))
         # each share is freed once its run is done; dropping the frontier
         # keeps it out of the merge, where the parent's memory peaks
         del starts, shares
-        for share_paths, keys in results:
+        for share_paths, share in results:
             paths = [*map(add, paths, share_paths)]
-            found.update(keys)
+            if found:
+                found.update(share)
+            else:
+                found = share
     if len(found) > max_stored:
         raise _cap_error(max_stored)
     return _classify(problem, found, paths, keep_clusters)

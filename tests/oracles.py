@@ -16,17 +16,17 @@ code block by block, with the repetition code's transpose, a separate
 single-round case and the source sizes stored beside the matrices, for
 checking that codes.ft_extend_matrices builds the same code as one
 hypergraph product.  problem_literal finds each check's entries, each
-entry's syndrome and each kernel class's parity mask by scanning words
-bit by bit, and write_alist_literal lists an alist's columns by
-appending row indices, for checking that the census problem and alist
-output read these off gf2.BitMatrix products and transposes.
+entry's syndrome and key bit and each kernel class's parity mask by
+scanning words bit by bit, and write_alist_literal lists an alist's
+columns by appending row indices, for checking that the census problem
+and alist output read these off gf2.BitMatrix products and transposes.
 
 Each bad-error oracle walks every error configuration on a weight-m support,
 computes the configuration's probability and the probability of the
-inverted configuration exactly (rational arithmetic over the given
-float rates), and adds up the configurations whose inversion is at
-least as likely.  These stay independent of the closed-form region
-sums they are used to check.
+inverted configuration exactly (integer numerators over one shared
+denominator of the given float rates), and adds up the configurations
+whose inversion is at least as likely.  These stay independent of the
+closed-form region sums they are used to check.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from clusterbounds.errors import ValidationError
 from clusterbounds.gf2 import BitMatrix, echelon, hstack
@@ -51,17 +52,22 @@ def _count_classes(n_states: int, m: int):
 
 
 def _bad_sum(state_probs: tuple[Fraction, ...], inverted: tuple[int, ...], m: int) -> float:
-    total = Fraction(0)
+    # every configuration's probability and its inversion's are integer
+    # numerators over one denominator, den**m, so they compare and add
+    # as integers and the sum is divided once
+    den = lcm(*(prob.denominator for prob in state_probs))
+    nums = [prob.numerator * (den // prob.denominator) for prob in state_probs]
+    total = 0
     for counts, mult in _count_classes(len(state_probs), m):
-        pe = Fraction(1)
-        pinv = Fraction(1)
+        pe = 1
+        pinv = 1
         for s, c in enumerate(counts):
             if c:
-                pe *= state_probs[s] ** c
-                pinv *= state_probs[inverted[s]] ** c
+                pe *= nums[s] ** c
+                pinv *= nums[inverted[s]] ** c
         if pinv >= pe:
             total += mult * pe
-    return float(total)
+    return float(Fraction(total, den**m))
 
 
 def bad_sum_css(m: int, y: float, p: float) -> float:
@@ -85,17 +91,18 @@ def bad_sum_ft(m: int, m_q: int, p: float, q: float) -> float:
     """Binary flips on m_q qubit positions and m - m_q syndrome
     positions; inversion complements every position."""
     fp, fq = Fraction(p), Fraction(q)
-    total = Fraction(0)
+    # integer numerators over the shared denominator pd**m_q * qd**(m - m_q)
+    total = 0
     for cfg in itertools.product((0, 1), repeat=m):
-        pe = Fraction(1)
-        pinv = Fraction(1)
+        pe = 1
+        pinv = 1
         for i, flip in enumerate(cfg):
             r = fp if i < m_q else fq
-            pe *= r if flip else 1 - r
-            pinv *= (1 - r) if flip else r
+            pe *= r.numerator if flip else r.denominator - r.numerator
+            pinv *= (r.denominator - r.numerator) if flip else r.numerator
         if pinv >= pe:
             total += pe
-    return float(total)
+    return float(Fraction(total, fp.denominator**m_q * fq.denominator ** (m - m_q)))
 
 
 def zero_sum_choices_literal(groups, max_size: int) -> list[tuple]:
@@ -214,11 +221,15 @@ def _bits(word: int) -> list[int]:
 
 
 def problem_literal(checks, words, width: int, degeneracy):
-    """(syn, branches, parities) of the census problem, entry by entry:
-    each check row's parity is taken over the entries holding its set
-    bits, the checks are ordered by the positions they touch (ties by
+    """(syn, seeds, branches, parities) of the census problem, entry by
+    entry: each check row's parity is taken over the entries holding its
+    set bits, the checks are ordered by the positions they touch (ties by
     row index), and each kernel class's parity mask sets the entries
-    whose words meet its vector oddly."""
+    whose words meet its vector oddly.  When every position holds one
+    entry and no entry flips more than two checks, an entry's key bit
+    also sets, len(words) bits up, the search index of each check it
+    flips, and of a phantom check past the last if it flips fewer than
+    two."""
     holders: dict[int, list[int]] = {}
     for e, w in enumerate(words):
         for b in _bits(w):
@@ -234,8 +245,16 @@ def problem_literal(checks, words, width: int, degeneracy):
     for i, c in enumerate(order):
         for e in flips[c]:
             syn[e] |= 1 << i
+    ends = [[i for i, c in enumerate(order) if e in flips[c]] for e in range(len(words))]
+    graph_like = width == 1 and all(len(flipped) <= 2 for flipped in ends)
     position = (1 << width) - 1
-    seeds = [(syn[e], 1 << e, position << (e - e % width)) for e in range(len(words))]
+    seeds = []
+    for e, flipped in enumerate(ends):
+        bit = 1 << e
+        if graph_like:
+            for i in flipped if len(flipped) == 2 else [*flipped, len(order)]:
+                bit |= 1 << (len(words) + i)
+        seeds.append((syn[e], bit, position << (e - e % width)))
     branches = tuple(tuple(seeds[e] for e in flips[c]) for c in order)
     check_basis = echelon(checks.rows)
     basis = echelon([*checks.rows, *(v.bits for v in degeneracy.kernel_basis())])
@@ -244,7 +263,7 @@ def problem_literal(checks, words, width: int, degeneracy):
         for top, p in basis.items()
         if top not in check_basis
     )
-    return tuple(syn), branches, parities
+    return tuple(syn), tuple(seeds), branches, parities
 
 
 def write_alist_literal(matrix) -> str:

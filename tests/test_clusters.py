@@ -46,6 +46,33 @@ def syndrome_of(key, syn):
     return reduce(xor, (syn[e] for e in set_bits(key)), 0)
 
 
+def split_key(problem, key):
+    """The entry bits of a search key, after checking the bits above
+    them.  In a graph-like sector (one entry per position, none flipping
+    more than two checks) they are the checks the key's entries touch:
+    each entry's checks, and a phantom check one bit past the last for an
+    entry that flips fewer than two.  In any other sector there are
+    none."""
+    n = len(problem.syn)
+    entries = key & ((1 << n) - 1)
+    touched = 0
+    if problem.width == 1 and all(s.bit_count() <= 2 for s in problem.syn):
+        phantom = 1 << len(problem.branches)
+        for e in set_bits(entries):
+            s = problem.syn[e]
+            touched |= s if s.bit_count() == 2 else s | phantom
+    assert key >> n == touched
+    return entries
+
+
+def seed_edges(problem):
+    """Each entry's bits above the entries in its key bit, after checking
+    that the entry bit is its own."""
+    n = len(problem.syn)
+    assert [bit & ((1 << n) - 1) for _, bit, _ in problem.seeds] == [1 << e for e in range(n)]
+    return [bit >> n for _, bit, _ in problem.seeds]
+
+
 def plaquette_supports(code):
     return [tuple(j for j in range(code.n) if (row >> j) & 1) for row in code.G_X.rows]
 
@@ -287,7 +314,7 @@ class TestFrontier:
             frontier = _frontier(problem, m_max, limit)
             assert frontier
             for key, (s, mult) in frontier.items():
-                assert s == syndrome_of(key, problem.syn)
+                assert s == syndrome_of(split_key(problem, key), problem.syn)
                 assert mult >= 1
 
     def test_frontier_holds_its_limit_plus_one_states_children(self, toric4):
@@ -316,6 +343,40 @@ class TestFrontier:
         assert len(problem.syn) < sizes[1] <= 300 + children
 
 
+def mixed_rows(matrix, rng, times=4):
+    """matrix after times random row additions, row j += row i for rows
+    that differ: an invertible mix that keeps the row space and leaves no
+    zero row."""
+    rows = list(matrix.rows)
+    for _ in range(times):
+        pairs = [(i, j) for i, a in enumerate(rows) for j, b in enumerate(rows) if a != b]
+        if pairs:
+            i, j = rng.choice(pairs)
+            rows[j] ^= rows[i]
+    return BitMatrix(tuple(rows), matrix.cols)
+
+
+def row_mixed(code, sector, rng):
+    """The same code with the sector's check rows and degeneracy rows
+    mixed: G_Z and G_X apart in a single sector, P and Q apart in the
+    space-time code, and the generators, which give both, in the full
+    sector."""
+    if sector == "ft":
+        return FtCode(code.m, mixed_rows(code.P, rng), mixed_rows(code.Q, rng), code.D_ft)
+    if sector == "full":
+        return new_stabilizer(mixed_rows(code.stabilizer.G, rng), d=code.d)
+    return new_css(mixed_rows(code.G_X, rng), mixed_rows(code.G_Z, rng), d=code.d)
+
+
+# graph-like and full-Pauli censuses past brute-force reach
+ROW_MIXING = {
+    "toric4-x-m10": (lambda: toric_code(4), "x", 10),
+    "toric6-x-m10": (lambda: toric_code(6), "x", 10),
+    "toric3-full-m7": (lambda: toric_code(3), "full", 7),
+    "ft-toric5-x-3rounds-m8": (lambda: ft_extend(toric_code(5), 3, errors="x"), "ft", 8),
+}
+
+
 @st.composite
 def random_shapes(draw, max_rows=2, max_cols=3):
     """(rows, cols, row weight) of a matrix of at most max_rows x
@@ -340,6 +401,24 @@ class TestInvariance:
             cen = enumerate_clusters(shuffled, 6, sector="x")
             assert cen.irreducible == base.irreducible
             assert cen.irreducible_nonstabilizer == base.irreducible_nonstabilizer
+
+    @pytest.mark.parametrize("case", ROW_MIXING)
+    def test_classes_survive_row_mixing(self, case):
+        """Irreducibility and membership of the degeneracy group depend on
+        the row spaces only; distinct and paths follow the check order."""
+        make, sector, m_max = ROW_MIXING[case]
+        code = make()
+        base = enumerate_clusters(code, m_max, sector=sector)
+        assert any(base.irreducible_nonstabilizer)
+        rng = random.Random(20)
+        for _ in range(2):
+            mixed = row_mixed(code, sector, rng)
+            # the mixed checks are not graph-like, so the census ranks by
+            # elimination where the base counts touched checks
+            assert not any(seed_edges(_build_problem(mixed, sector)))
+            census = enumerate_clusters(mixed, m_max, sector=sector)
+            assert census.irreducible == base.irreducible
+            assert census.irreducible_nonstabilizer == base.irreducible_nonstabilizer
 
     def test_counts_survive_qubit_relabeling(self, toric3):
         base = enumerate_clusters(toric3, 6, sector="x")
@@ -380,12 +459,16 @@ class TestInvariance:
             )
 
         relabeled = new_css(permuted(code.G_X), permuted(code.G_Z), d=code.d)
+        mixed = row_mixed(code, sector, rng)
         for census in (enumerate_clusters, brute_force_census):
             base = census(code, m_max, sector=sector)
             moved = census(relabeled, m_max, sector=sector)
             assert moved.distinct == base.distinct
             assert moved.irreducible == base.irreducible
             assert moved.irreducible_nonstabilizer == base.irreducible_nonstabilizer
+            remixed = census(mixed, m_max, sector=sector)
+            assert remixed.irreducible == base.irreducible
+            assert remixed.irreducible_nonstabilizer == base.irreducible_nonstabilizer
 
 
 class TestIrreducibility:
@@ -835,9 +918,10 @@ class TestCompletionTables:
 
             def assert_rows(key, s, left):
                 rows = Counter(complete(key, s, left))
-                taken = {e // width for e in set_bits(key)}
+                taken = {e // width for e in set_bits(split_key(problem, key))}
                 completions = ordered_completions(problem, s, taken, left)
-                assert rows == Counter(key_and_mask(c) for c in completions)
+                decoded = Counter((split_key(problem, b), x) for b, x in rows.elements())
+                assert decoded == Counter(key_and_mask(c) for c in completions)
                 # the rows for key 0 whose masks miss key are the rows for key
                 assert rows == Counter(r for r in complete(0, s, left) if not key & r[1])
 
@@ -858,8 +942,8 @@ class TestCompletionTables:
             n = len(syn) // width
             for _ in range(20):
                 used = rng.sample(range(n), rng.randint(1, min(4, n)))
-                key = sum(1 << (width * j + rng.randrange(width)) for j in used)
-                s = syndrome_of(key, syn)
+                key = reduce(or_, (problem.seeds[width * j + rng.randrange(width)][1] for j in used))
+                s = syndrome_of(split_key(problem, key), syn)
                 if s:
                     assert_rows(key, s, rng.randint(1, 3))
 
@@ -904,17 +988,19 @@ class TestGraphLikeClassification:
             G = BitMatrix(tuple(v.bits for v in H.kernel_basis() if rng.random() < 0.5), H.cols)
             code = ft_extend_matrices(H, G, rounds)
             problem = _build_problem(code, "ft")
-            assert problem.edges is not None
+            assert all(seed_edges(problem))
             frontier = _frontier(problem, m_max, 2048)
             starts = [(key, s, mult) for key, (s, mult) in frontier.items()]
             paths, found = clusters_module._run_seeds(problem, starts, m_max, 10**6)
             census = clusters_module._classify(problem, found, paths, False)
             degeneracy = echelon(code.Q.rows)
             expected = {f: [0] * (m_max + 1) for f in ("distinct", "irreducible", "nonstab")}
-            for key in found:
+            for key, irreducible in found.items():
                 words = [problem.syn[e] for e in set_bits(key)]
                 m = len(words)
                 expected["distinct"][m] += 1
+                # the search classified the cluster when it first met it
+                assert irreducible == (m - len(echelon(words)) == 1)
                 if m - len(echelon(words)) == 1:
                     expected["irreducible"][m] += 1
                     expected["nonstab"][m] += residue(degeneracy, key) != 0
@@ -1005,12 +1091,13 @@ class TestBoundaryEntries:
         if sector == "ft":
             code = ft_extend(code, 2, errors="x")
         problem = _build_problem(code, sector)
-        assert problem.edges is not None
+        edges = seed_edges(problem)
         # an entry with fewer than two checks also sits on the phantom
         # check, one bit past the last
         phantom = 1 << len(problem.branches)
-        assert sum(bool(s & phantom) for s in problem.edges.values()) == boundary
-        assert all(s.bit_count() == 2 for s in problem.edges.values())
+        assert sum(bool(s & phantom) for s in edges) == boundary
+        assert all(s.bit_count() == 2 for s in edges)
+        assert all(split_key(problem, bit) == 1 << e for e, (_, bit, _) in enumerate(problem.seeds))
         census = enumerate_clusters(code, m_max, sector=sector, workers=workers)
         assert census.same_counts(brute_force_census(code, m_max, sector=sector))
         # the shortest logicals run from one open end to the other
@@ -1023,20 +1110,20 @@ class TestBoundaryEntries:
             (ft_extend(toric3, 3, errors="x"), "ft"),
             (ft_extend(toric3, 3, errors="z"), "ft"),
         ):
-            assert _build_problem(code, sector).edges is not None
-        assert _build_problem(toric3, "full").edges is None
+            assert all(seed_edges(_build_problem(code, sector)))
+        assert not any(seed_edges(_build_problem(toric3, "full")))
         rng = random.Random(5)
         code = hypergraph_product(make_random_matrix(rng, 1, 3, 3), make_random_matrix(rng, 2, 3, 2))
         problem = _build_problem(code, "x")
         assert max(s.bit_count() for s in problem.syn) == 3
-        assert problem.edges is None
+        assert not any(seed_edges(problem))
 
 
 class TestProblemProduct:
     def test_matches_the_entry_scan(self):
-        """Each check's entries, each entry's syndrome and each kernel
-        class's parity mask, read off one GF(2) product, equal a scan of
-        the words bit by bit."""
+        """Each check's entries, each entry's syndrome, key bit and edge
+        tag, and each kernel class's parity mask, read off one GF(2)
+        product, equal a scan of the words bit by bit."""
         seen = set()
 
         @settings(max_examples=250, deadline=None)
@@ -1059,10 +1146,12 @@ class TestProblemProduct:
             size = width * positions
             words = data.draw(st.lists(word, min_size=size, max_size=size))
             problem = _problem(checks, words, width, degeneracy, partial(int))
-            assert (problem.syn, problem.branches, problem.parities) == problem_literal(
-                checks, words, width, degeneracy
+            assert (problem.syn, problem.seeds, problem.branches, problem.parities) == (
+                problem_literal(checks, words, width, degeneracy)
             )
             seen.add(f"width {width}")
+            if any(bit >> size for _, bit, _ in problem.seeds):
+                seen.add("edge tags")
             if not checks.rows:
                 seen.add("no checks")
             if any(w and not s for w, s in zip(words, problem.syn)) and checks.rows:
@@ -1084,4 +1173,5 @@ class TestProblemProduct:
             "repeated column",
             "zero word",
             "parity mask",
+            "edge tags",
         }

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -198,6 +199,19 @@ class TestTables:
         assert "0.33333333333333331" in doc
         assert '"a\\"b"' in doc
         assert doc.endswith("\n")
+
+    def test_json_escapes_control_characters(self):
+        doc = dump_json({"result": {"y": 0.5}}, {"command": "threshold", "D": "inf\t"})
+        assert json.loads(doc)["config"]["D"] == "inf\t"
+        assert '"D": "inf\\t"' in doc
+
+    @pytest.mark.parametrize("D", [" inf\n", "inf\r", "inf\x0b"])
+    def test_csv_config_with_a_line_break_is_refused(self, tmp_path, D):
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ValidationError) as err:
+            write_csv(str(path), ["y", "pZ"], [[0.0, 0.5]], {"command": "threshold", "D": D})
+        assert str(err.value) == f"config value D={D!r} holds a line break"
+        assert not path.exists()
 
     def test_census_csv_round_trip(self, tmp_path):
         path = tmp_path / "census.csv"
