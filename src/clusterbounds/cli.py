@@ -10,6 +10,7 @@ so reruns of the same computation are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -214,9 +215,10 @@ def _cmd_threshold(args) -> int:
         "w": args.w,
         "w_X": args.wx,
         "w_Z": args.wz,
-        # the text float() read: it skips surrounding whitespace, so the
-        # output must too
-        "D": args.D.strip(),
+        # one text per distance constant: float() skips surrounding
+        # whitespace and reads inf in several spellings (CodeParams
+        # refuses -inf)
+        "D": "inf" if math.isinf(D) else args.D.strip(),
         **given,
     }
     if args.curve:

@@ -109,12 +109,18 @@ echelon basis, so each checks the census's rules independently.
 The brute-force census reproduces all four per-weight counts
 independently: the zero-sum scanner gf2.zero_sum_choices, which also
 serves the distance search, covers every choice of up to m_max
-positions with one entry each and keeps the undetectable ones, and
-admissible orderings are counted by dynamic programming over subsets
-instead of by recursion.  From m_max 4 on it closes each choice's last
-two positions by one lookup in a table of entry pairs on two positions,
-at most C(n, 2) w^2 rows for n positions of w entries each, built per
-call and dropped when it returns.
+positions with one entry each and keeps the undetectable ones.  From
+m_max 4 on it closes each choice's last two positions by one lookup in
+a table of entry pairs on two positions, at most C(n, 2) w^2 rows for n
+positions of w entries each, built per call and dropped when it returns.
+Each undetectable choice, like each cluster is_irreducible_bruteforce
+checks, gets the syndrome of every subset of its entries, a table that
+doubles once per entry, and it is irreducible when no entry of the table
+but the first and the last is zero.  Admissible orderings are counted,
+not recursed over: one prefix size at a time, each prefix that some
+ordering reaches pushes its count forward to every prefix one entry
+larger that the repair rule admits, so a prefix no ordering reaches
+costs nothing.
 """
 
 from __future__ import annotations
@@ -720,8 +726,7 @@ def is_irreducible_bruteforce(code, cluster: Cluster, sector: str = "full") -> b
     if cluster.weight > 20:
         raise ValidationError("brute-force irreducibility capped at weight 20")
     _, _, cols = _columns(code, cluster, sector)
-    table = _subset_syndromes(cols)
-    return not any(table[s] == 0 for s in range(1, len(table) - 1))
+    return _no_undetectable_part(_subset_syndromes(cols))
 
 
 def decompose(code, cluster: Cluster, sector: str = "full") -> tuple[Cluster, ...]:
@@ -747,40 +752,52 @@ def decompose(code, cluster: Cluster, sector: str = "full") -> tuple[Cluster, ..
 
 
 def _subset_syndromes(syn_entry: list[int]) -> list[int]:
-    m = len(syn_entry)
-    table = [0] * (1 << m)
-    for s in range(1, 1 << m):
-        low = s & -s
-        table[s] = table[s ^ low] ^ syn_entry[low.bit_length() - 1]
+    """The syndrome of every subset of the entries, indexed by its mask
+    (bit i for entry i).  The table doubles once per entry: the subsets
+    holding entry i are those without it, each XORed with its word."""
+    table = [0]
+    for word in syn_entry:
+        table += [t ^ word for t in table]
     return table
 
 
 def _count_orderings(syn_entry: list[int], table: list[int]) -> int:
-    """Number of entry orderings the repair rule admits, via subset DP.
+    """Number of entry orderings the repair rule admits.
 
     A prefix may extend only while its syndrome is nonzero, and the next
-    entry must flip the lowest set syndrome bit of the prefix.
+    entry must flip the lowest set syndrome bit of the prefix.  Each
+    layer maps every prefix of one size that the rule reaches to its
+    number of admissible orderings, and each prefix pushes its count
+    forward to itself plus each entry outside it that flips that bit;
+    a prefix whose syndrome is zero pushes nothing.
     """
     m = len(syn_entry)
-    full = (1 << m) - 1
-    f = [0] * (full + 1)
-    for i in range(m):
-        f[1 << i] = 1
-    for s in range(1, full + 1):
-        if s & (s - 1) == 0:
-            continue
-        total = 0
-        rem = s
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            prev = s ^ low
-            ps = table[prev]
-            if ps and f[prev]:
-                if (syn_entry[low.bit_length() - 1] >> ((ps & -ps).bit_length() - 1)) & 1:
-                    total += f[prev]
-        f[s] = total
-    return f[full]
+    layer = {1 << i: 1 for i in range(m)}
+    # entries flipping a syndrome bit, as one mask, per lowest bit met
+    flips: dict[int, int] = {}
+    for _ in range(m - 1):
+        pushed: dict[int, int] = {}
+        for s, count in layer.items():
+            t = table[s]
+            if not t:
+                continue
+            low = t & -t
+            if low not in flips:
+                flips[low] = sum(1 << i for i, word in enumerate(syn_entry) if word & low)
+            rest = flips[low] & ~s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                pushed[s | bit] = pushed.get(s | bit, 0) + count
+        layer = pushed
+    return layer.get((1 << m) - 1, 0)
+
+
+def _no_undetectable_part(table: list[int]) -> bool:
+    """Whether no proper nonempty subset of an undetectable cluster is
+    undetectable, from its subset table: the first zero after the empty
+    subset's must be the whole cluster's, the last entry."""
+    return table.index(0, 1) == len(table) - 1
 
 
 def brute_force_census(
@@ -823,7 +840,7 @@ def brute_force_census(
         syn_entry = [problem.syn[e] for e in entries]
         table = _subset_syndromes(syn_entry)
         orderings = _count_orderings(syn_entry, table)
-        if not any(table[s] == 0 for s in range(1, len(table) - 1)):
+        if _no_undetectable_part(table):
             if not orderings:
                 raise ClusterBoundsError("irreducible cluster missed by the ordering rule")
             irred[m] += 1

@@ -3,7 +3,10 @@
 zero_sum_choices_literal scans every choice of groups and entries
 outright, for checking gf2.zero_sum_choices.  subset_xors lists the XOR
 of every subset of a word list outright, for checking the echelon,
-residue and kernel routines of gf2.  toric_rows_literal lays out the
+residue and kernel routines of gf2 and the brute-force census's subset
+table.  orderings_literal walks every permutation of a word list and
+applies the search's repair rule step by step, for checking the
+brute-force census's ordering count.  toric_rows_literal lays out the
 toric code's plaquette and site rows bond by bond, for checking that the
 hypergraph-product construction keeps the lattice's check order.
 cubic_polygons counts the simple cubic lattice's self-avoiding polygons
@@ -296,6 +299,22 @@ def subset_xors(words) -> dict[int, list[int]]:
                 acc ^= w
         out.setdefault(acc, []).append(mask)
     return out
+
+
+def orderings_literal(words) -> int:
+    """Number of orderings of the words that the repair rule admits:
+    every nonempty proper prefix has a nonzero XOR, and the word after
+    it flips that XOR's lowest set bit."""
+    total = 0
+    for order in itertools.permutations(words):
+        acc = 0
+        for prev, word in zip(order, order[1:]):
+            acc ^= prev
+            if acc == 0 or not word & (acc & -acc):
+                break
+        else:
+            total += 1
+    return total
 
 
 def toric_rows_literal(L: int) -> tuple[list[int], list[int]]:

@@ -283,10 +283,15 @@ class TestThreshold:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
-    @pytest.mark.parametrize("D", [" inf", "inf\t", " inf\n", "inf\r", "inf\x0b", "\u2003inf"])
+    @pytest.mark.parametrize(
+        "D",
+        [" inf", "inf\t", " inf\n", "inf\r", "inf\x0b", "\u2003inf",
+         "Infinity", "+inf", "INF", "+Infinity", " INFINITY\n"],
+    )
     def test_distance_is_written_as_read(self, tmp_path, capsys, D):
-        # float() skips the whitespace around a number, so the output is
-        # that of the bare spelling, byte for byte
+        # float() skips the whitespace around a number and reads infinity
+        # in several spellings, so the output is that of the bare inf,
+        # byte for byte
         for task in (("--curve", "y:pZ", "--points", "2"), ("--solve", "y")):
             outputs = []
             for text in ("inf", D):
@@ -296,6 +301,12 @@ class TestThreshold:
                 outputs.append((out.read_bytes(), capsys.readouterr()))
             assert outputs[1] == outputs[0]
         assert json.loads(outputs[0][0])["config"]["D"] == "inf"
+
+    @pytest.mark.parametrize("D", ["10", " 1e1", "2.50\n"])
+    def test_finite_distance_keeps_its_text(self, capsys, D):
+        argv = ("threshold", "--model", "css", "--w", "4", "--D", D, "--curve", "y:pZ", "--points", "2")
+        assert run(*argv) == 0
+        assert f" D={D.strip()} " in capsys.readouterr().out.splitlines()[1]
 
     @pytest.mark.parametrize("D", ["Infinity", "INF"])
     def test_infinite_distance_constant(self, capsys, D):

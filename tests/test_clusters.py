@@ -10,7 +10,7 @@ import pytest
 from conftest import make_random_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cubic_polygons, problem_literal
+from oracles import cubic_polygons, orderings_literal, problem_literal, subset_xors
 
 from clusterbounds import (
     Cluster,
@@ -519,6 +519,78 @@ class TestIrreducibility:
         gen = stab.generator(0)
         cl = Cluster(gen.support(), tuple(gen.entry(j) for j in gen.support()))
         assert is_irreducible(toric2, cl, sector="full")
+
+
+class TestOracleKernels:
+    """The brute-force oracles' subset table, ordering count and zero
+    test, against literal scans and hand-counted clusters."""
+
+    def test_table_and_orderings_match_the_literal_scans(self):
+        seen = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            words=st.lists(st.integers(0, 15), min_size=1, max_size=7),
+            closed=st.booleans(),
+        )
+        def check(words, closed):
+            # the brute-force census counts the orderings of undetectable
+            # configurations, so half the lists are closed to XOR zero
+            if closed and len(words) < 7:
+                words = [*words, reduce(xor, words)]
+            table = clusters_module._subset_syndromes(words)
+            assert len(table) == 1 << len(words)
+            for acc, masks in subset_xors(words).items():
+                assert all(table[mask] == acc for mask in masks)
+            count = clusters_module._count_orderings(words, table)
+            assert count == orderings_literal(words)
+            if 0 in words:
+                seen.add("zero word")
+            if len(set(words)) < len(words):
+                seen.add("repeated word")
+            if 0 in table[1:-1]:
+                seen.add("zero proper subset")
+            if count:
+                seen.add("admitted")
+            if len(words) == 7:
+                seen.add("seven words")
+
+        check()
+        assert seen == {"zero word", "repeated word", "zero proper subset", "admitted", "seven words"}
+
+    # An undetectable cluster's pieces come in pairs: a piece and the
+    # rest.  Here the only pair is a zero-word entry and the others, so
+    # the subset table's only inner zeros sit at masks 1 and 2^m - 2 when
+    # the zero word is first, and at 2^(m-1) - 1 and 2^(m-1) when it is
+    # last.  Two zero words are two one-entry pieces.  In the census the
+    # whole cluster has no admissible ordering, as a zero word ends every
+    # prefix it starts or completes.
+    @pytest.mark.parametrize(
+        "checks, degeneracy, pieces, counts",
+        [
+            ([[0, 1, 0, 1], [0, 0, 1, 1]], [[0, 1, 1, 1]], [(0,), (1, 2, 3)],
+             ((0, 1, 0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 0, 0, 0), (0, 1, 0, 3, 0))),
+            ([[1, 0, 1, 0], [0, 1, 1, 0]], [[1, 1, 1, 0]], [(0, 1, 2), (3,)],
+             ((0, 1, 0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 0, 0, 0), (0, 1, 0, 3, 0))),
+            ([[0, 0, 1, 1]], [[0, 0, 1, 1]], [(0,), (1,)],
+             ((0, 2, 1, 0, 0), (0, 2, 1, 0, 0), (0, 2, 0, 0, 0), (0, 2, 2, 0, 0))),
+        ],
+        ids=["zero first", "zero last", "two zeros"],
+    )
+    def test_zero_word_pieces(self, checks, degeneracy, pieces, counts):
+        # the X sector's checks are G_Z, and its degeneracy rows G_X
+        code = new_css(BitMatrix.from_lists(degeneracy), BitMatrix.from_lists(checks))
+        pieces = [Cluster(piece) for piece in pieces]
+        whole = Cluster(tuple(sorted(j for piece in pieces for j in piece.positions)))
+        for cl in pieces:
+            assert is_irreducible_bruteforce(code, cl, sector="x")
+            assert is_irreducible(code, cl, sector="x")
+        assert not is_irreducible_bruteforce(code, whole, sector="x")
+        assert not is_irreducible(code, whole, sector="x")
+        assert sorted(decompose(code, whole, sector="x"), key=lambda c: c.positions) == pieces
+        census = brute_force_census(code, 4, sector="x")
+        assert (census.distinct, census.irreducible, census.irreducible_nonstabilizer, census.paths) == counts
+        assert census.same_counts(enumerate_clusters(code, 4, sector="x"))
 
 
 class TestMalformedClusters:
