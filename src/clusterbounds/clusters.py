@@ -19,44 +19,50 @@ repair the first violated bit, or that hit the depth cap, backtrack.
 Each completion event is one recursion path, so a cluster is counted
 once per ordering of its entries that the repair rule admits.  The last
 entries are not searched for: a state at most three entries short of
-the cap is finished by one completion routine, which lists the (key
-bits, exclusion mask) of every completion that the repair rule admits.
-One entry completes with word s, the state's syndrome, looked up in a
-syndrome -> entries table.  Two entries have words XORing to s, the
-first flipping the lowest bit of s.  Two entries sharing a check are
-looked up under s in a table of check-sharing pairs, which has at most
-the sum over checks of |entries flipping it|^2 rows, so it grows
-linearly with the code.  Any other first entry lies inside s and has
-the lowest bit of s as its own lowest bit, so it comes from that check's
-short list, and its partner is looked up under the rest of s.  Three
-entries branch once more over the entries flipping the lowest bit of s
-and close each child by the two-entry step.  The brute-force scan below
-closes its choices by lookup too, with no repair rule.
+the cap is finished in one step, which records every completion that
+the repair rule admits where it finds it.  One entry completes with
+word s, the state's syndrome, looked up in a syndrome -> entries table.
+Two entries have words XORing to s, the first flipping the lowest bit
+of s.  Two entries sharing a check are looked up under s in a table of
+check-sharing pairs, which has at most the sum over checks of |entries
+flipping it|^2 rows, so it grows linearly with the code.  Any other
+first entry lies inside s and has the lowest bit of s as its own lowest
+bit, so it comes from that check's short list, and its partner is
+looked up under the rest of s.  Three entries branch once more over the
+entries flipping the lowest bit of s and close each child by the
+two-entry step.  The brute-force scan below closes its choices by lookup
+too, with no repair rule.
 
 A state's completions depend on its key only through the exclusion
 masks: the completions of a state are those of the empty key whose
 masks miss its key.  So where its syndrome s names at most two checks,
-each search run keeps the empty key's completions per syndrome and
-number of entries left, filled the first time it meets them, and the
-state finishes by one lookup and one AND against its key per row.
-There are r(r + 1)/2 syndromes of one or two bits for r checks, which
-bounds the tables by the code, not by the search.  In the toric code's
-single sectors and its space-time code every entry flips at most two
-checks, so a repair step clears one bit and sets at most one, and every
-finished state is served this way.  A state with a larger syndrome, as
-most are in the full-Pauli sector, is completed under its own key.
+each search run keeps the empty key's completions, as (key bits,
+exclusion mask) rows, per syndrome and number of entries left, filled
+the first time it meets them, and the state finishes by one lookup and
+one AND against its key per row.  There are r(r + 1)/2 syndromes of one
+or two bits for r checks, which bounds the tables by the code, not by
+the search.  In the toric code's single sectors and its space-time code
+every entry flips at most two checks, so a repair step clears one bit
+and sets at most one, and every finished state is served this way.  A
+state with a larger syndrome, as most are in the full-Pauli sector, is
+finished directly under its own key, behind two cuts.
 
-Before the three-entry step branches, it cuts by check reach: reach[i]
-is the OR of the syndrome words of every entry flipping check i, so the
+The reach cut comes before the three-entry step branches: reach[i] is
+the OR of the syndrome words of every entry flipping check i, so the
 child's entry, which flips the lowest bit i of s, changes no bit of s
 outside reach[i].  Checks that no entry flips together need one entry
 each, and a completion has at most two entries left.  So when the bits
 of s outside reach[i] hold three such checks the state has no
 completion, and when they hold two, a and b, a child whose syndrome has
-a bit outside reach[a] | reach[b] has none.  The cut drops only states
-with no completion, so every count stays exact, but it reads only the
-bits of s outside reach[i], so most of the children it lets through
-still end without one.
+a bit outside reach[a] | reach[b] has none.  The tail cut comes before
+each two-entry step, from a syndrome w with lowest check j: the first
+entry of a one- or two-entry completion flips j, so it lies inside
+reach[j], and w & ~reach[j] is 0 or the second entry's bits outside
+reach[j].  Those are the tails: every entry's word, and its bits
+outside the reach of each check whose reach it meets, so a code with
+bounded reach holds a number linear in its entries.  A syndrome whose
+bits outside reach[j] are neither has no completion.  The cuts drop
+only states with no completion, so every count stays exact.
 
 A state's whole subtree depends only on its key, and most partial
 clusters are reached by several orderings, mostly from different seeds.
@@ -143,6 +149,10 @@ DEFAULT_CLUSTER_CAP = 10**7
 _FRONTIER_BUDGET = 2048
 _PAULI_LABELS = "XYZ"
 _PAULI_LABEL_INDEX = {lab: i for i, lab in enumerate(_PAULI_LABELS)}
+# the first entries of a state two entries short of the cap: one empty
+# entry, so that it runs the two-entry step that a state three short runs
+# after each first entry flipping the lowest bit of its syndrome
+_NO_ENTRY = ((0, 0, 0),)
 
 
 @dataclass(frozen=True)
@@ -235,6 +245,10 @@ class _Problem:
     # per check in search order: the OR of the syndrome words of every
     # entry that flips it, the checks an entry placed there can touch
     reach: tuple
+    # every entry's syndrome word d, and d & ~reach[c] for every check c
+    # whose reach d meets: so the bits outside reach[j] of every two-entry
+    # completion word whose lowest check is j, when they are not 0
+    tails: frozenset
     # per entry: (syndrome word, key bit, exclusion mask); in a
     # graph-like sector (width 1, no word of more than two bits) entry
     # e's key bit also sets its edge len(syn) bits up: its syndrome word,
@@ -359,6 +373,13 @@ def _problem(
                 shared, w = d1 & d2, d1 ^ d2
                 if (shared & -shared) >> i == 1 and d1 & w & -w and not b1 & x2:
                     pairs.setdefault(w, []).append((b1 | b2, x1 | x2))
+    reach = tuple(reduce(or_, (ds for ds, _, _ in flipping), 0) for flipping in branches)
+    # reach is symmetric, check c lying in reach[i] when an entry flips
+    # both, so the checks whose reach meets d are the reach of d's checks
+    tails = set(syn)
+    for ds in set(syn):
+        near = reduce(or_, (reach[i] for i in set_bits(ds)), 0)
+        tails.update(ds & ~reach[c] for c in set_bits(near))
     # the check rows lie in the degeneracy rows' kernel, so the kernel
     # vectors that give the checks' echelon basis new keys are a basis of
     # that kernel modulo the checks
@@ -373,7 +394,8 @@ def _problem(
         closers=closers,
         pairs=pairs,
         lowest=tuple(tuple(low) for low in lowest),
-        reach=tuple(reduce(or_, (ds for ds, _, _ in flipping), 0) for flipping in branches),
+        reach=reach,
+        tails=frozenset(tails),
         seeds=seeds,
         degeneracy=echelon(degeneracy.rows),
         parities=(
@@ -397,9 +419,9 @@ def _frontier(problem: _Problem, m_max: int, limit: int) -> dict[int, tuple[int,
     the next check and the exclusions all follow from it.  So every
     ordering that reaches a key is searched once, from that key, with
     its multiplicity.  Only states of depth m_max - 3 or less are
-    expanded (deeper ones are finished by the completion routine), and
-    only while the frontier holds at most limit keys, so it never holds
-    more than limit keys plus one state's children (the first layer is
+    expanded (deeper ones are finished in one step), and only while the
+    frontier holds at most limit keys, so it never holds more than limit
+    keys plus one state's children (the first layer is
     the children of the empty cluster).  The unexpanded rest of a partly
     grown layer stays at its depth.  Completed keys (zero syndrome) stay
     in the frontier and are recorded from it."""
@@ -422,79 +444,43 @@ def _frontier(problem: _Problem, m_max: int, limit: int) -> dict[int, tuple[int,
     return layer
 
 
-def _reach_cut(reach, s: int, i: int) -> int:
-    """The checks that a completable child of a state with syndrome s may
-    leave violated, when the children sit two entries short of the cap:
-    -1 if this rules out none, 0 if the state has no completion.
-
-    Every child keeps the bits of s outside reach[i], i the lowest bit
-    of s.  Among them, three checks that no entry flips in pairs need
-    three more entries, and two, a and b, need one entry inside reach[a]
-    and one inside reach[b]."""
-    kept = s & ~reach[i]
-    if not kept:
-        return -1
-    reach_a = reach[(kept & -kept).bit_length() - 1]
-    rest = kept & ~reach_a
-    if not rest:
-        return -1
-    reach_b = reach[(rest & -rest).bit_length() - 1]
-    if rest & ~reach_b:
-        return 0
-    return reach_a | reach_b
-
-
 def _completer(problem: _Problem):
-    """The completion routine of a search run, with the problem's tables
-    bound once.
+    """The table routine of a search run, with the problem's tables bound
+    once.
 
-    complete(key, s, left), for 1 <= left <= 3, lists as (key bits,
-    exclusion mask) rows every completion of at most left entries that
-    the repair rule admits for a state with key key and nonzero syndrome
-    s, by the lookups and the cut of the module docstring.  A row's mask
-    is the OR of its entries' masks, and rows that meet a position of
-    key are left out; so the rows for key 0 whose masks miss key are the
-    rows for key."""
-    branches, closers, pairs, lowest, reach = (
-        problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach
+    complete(s, left), for 1 <= left <= 3, lists as (key bits, exclusion
+    mask) rows every completion of at most left entries that the repair
+    rule admits for the empty key and a syndrome s of one or two bits, by
+    the lookups of the module docstring.  A row's mask is the OR of its
+    entries' masks, so the rows whose masks miss a key are the rows for
+    that key.  It makes no cut: a check flipped by an entry lies in its
+    own reach, so the bits of s outside the reach of its lowest check
+    name at most one check and the reach cut never fires, and a tail cut
+    would save little in a table filled once per syndrome."""
+    branches, closers, pairs, lowest = (
+        problem.branches, problem.closers, problem.pairs, problem.lowest
     )
-    # three entries left: each first entry flipping the lowest bit of s,
-    # then the two-entry step; two left: that step after an empty entry
-    empty = ((0, 0, 0),)
 
-    def complete(key: int, s: int, left: int) -> list:
+    def complete(s: int, left: int) -> list:
         if left == 1:
-            return [(b, x) for b, x in closers.get(s, ()) if not key & x]
+            return closers.get(s, [])
         rows = []
-        if left == 2:
-            firsts, outside = empty, 0
-        else:
-            i = (s & -s).bit_length() - 1
-            allowed = _reach_cut(reach, s, i)
-            if not allowed:
-                return rows
-            firsts, outside = branches[i], ~allowed
-        for d0, b0, x0 in firsts:
-            if key & x0:
-                continue
+        for d0, b0, x0 in _NO_ENTRY if left == 2 else branches[(s & -s).bit_length() - 1]:
             ns = s ^ d0
             if ns == 0:
                 rows.append((b0, x0))
                 continue
-            if ns & outside:
-                continue
             # the two-entry step from syndrome ns, after the first entry
-            head = key | b0
             for bits, x in pairs.get(ns, ()):
-                if not head & x:
+                if not b0 & x:
                     rows.append((b0 | bits, x0 | x))
             for d1, b1, x1 in lowest[(ns & -ns).bit_length() - 1]:
-                if d1 & ~ns or head & x1:
+                if d1 & ~ns or b0 & x1:
                     continue
                 if d1 == ns:
                     rows.append((b0 | b1, x0 | x1))
                     continue
-                child = head | b1
+                child = b0 | b1
                 for b2, x2 in closers.get(ns ^ d1, ()):
                     if not child & x2:
                         rows.append((b0 | b1 | b2, x0 | x1 | x2))
@@ -520,16 +506,19 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     multiplicity, so paths counts the search paths through all orderings
     that reach the start's key.  A state with nonzero syndrome and more
     than three entries left branches; any other state with entries left
-    is finished by the completion routine.  Where its syndrome s has at
-    most two bits, the rows come from a table of this run, filled with
-    the rows for key 0 the first time s is met with that many entries
-    left, and each row is ANDed against the state's key.  The tables
-    keep only syndromes of one or two bits, so each holds at most
-    r(r + 1)/2 keys for r checks.  A state with a larger syndrome, as
-    most are in the full-Pauli sector, is completed under its own key:
-    keeping those syndromes would bound the tables by the search, not by
-    the code."""
-    branches = problem.branches
+    is finished in one step that records its completions.  Where its
+    syndrome s has at most two bits, the rows come from a table of this
+    run, filled by the table routine the first time s is met with that
+    many entries left, and each row is ANDed against the state's key.
+    The tables keep only syndromes of one or two bits, so each holds at
+    most r(r + 1)/2 keys for r checks.  A state with a larger syndrome,
+    as most are in the full-Pauli sector, is finished directly under its
+    own key, after the reach and tail cuts: keeping those syndromes would
+    bound the tables by the search, not by the code."""
+    branches, closers, pairs, lowest, reach, tails = (
+        problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach,
+        problem.tails,
+    )
     complete = _completer(problem)
     paths = [0] * (m_max + 1)
     found: dict[int, bool | None] = {}
@@ -549,16 +538,58 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
             touched = key >> n
             found[k] = touched.bit_count() == m if touched else None
 
-    def finish(key: int, s: int, left: int) -> None:
-        if s.bit_count() > 2:
-            rows = complete(key, s, left)
-        else:
-            rows = tables[left].get(s)
-            if rows is None:
-                rows = tables[left][s] = complete(0, s, left)
-        for bits, excl in rows:
-            if not key & excl:
-                record(key | bits)
+    def direct(key: int, s: int, left: int) -> None:
+        if left == 1:
+            for bits, excl in closers.get(s, ()):
+                if not key & excl:
+                    record(key | bits)
+            return
+        firsts, outside = _NO_ENTRY, 0
+        if left == 3:
+            # the reach cut: the checks of s outside reach[i] stay violated
+            # in every child; three that no entry flips in pairs need three
+            # more entries, and two, a and b, need one entry inside
+            # reach[a] and one inside reach[b]
+            i = (s & -s).bit_length() - 1
+            firsts, kept = branches[i], s & ~reach[i]
+            if kept:
+                reach_a = reach[(kept & -kept).bit_length() - 1]
+                rest = kept & ~reach_a
+                if rest:
+                    reach_b = reach[(rest & -rest).bit_length() - 1]
+                    if rest & ~reach_b:
+                        return
+                    outside = ~(reach_a | reach_b)
+        for d0, b0, x0 in firsts:
+            if key & x0:
+                continue
+            ns = s ^ d0
+            head = key | b0
+            if ns == 0:
+                record(head)
+                continue
+            if ns & outside:
+                continue
+            # the tail cut: the bits of ns outside reach[j] are none or the
+            # second entry's bits outside it, which tails holds
+            j = (ns & -ns).bit_length() - 1
+            tail = ns & ~reach[j]
+            if tail and tail not in tails:
+                continue
+            # the two-entry step from syndrome ns, after the first entry
+            for bits, excl in pairs.get(ns, ()):
+                if not head & excl:
+                    record(head | bits)
+            for d1, b1, x1 in lowest[j]:
+                if d1 & ~ns or head & x1:
+                    continue
+                if d1 == ns:
+                    record(head | b1)
+                    continue
+                child = head | b1
+                for b2, x2 in closers.get(ns ^ d1, ()):
+                    if not child & x2:
+                        record(child | b2)
 
     def go(key: int, s: int, left: int) -> None:
         left -= 1
@@ -566,12 +597,30 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
             if key & excl:
                 continue
             ns = s ^ ds
+            child = key | bit
             if ns == 0:
-                record(key | bit)
+                record(child)
             elif left > 3:
-                go(key | bit, ns, left)
+                go(child, ns, left)
+            elif ns.bit_count() > 2:
+                direct(child, ns, left)
             else:
-                finish(key | bit, ns, left)
+                rows = tables[left].get(ns)
+                if rows is None:
+                    rows = tables[left][ns] = complete(ns, left)
+                # record(child | bits), inlined: in the binary sectors
+                # almost every finished state ends here
+                for bits, x in rows:
+                    if not child & x:
+                        done = child | bits
+                        k = done & entries
+                        m = k.bit_count()
+                        paths[m] += mult
+                        if k not in found:
+                            if len(found) >= cap:
+                                raise _cap_error(cap)
+                            touched = done >> n
+                            found[k] = touched.bit_count() == m if touched else None
 
     for key, s, mult in starts:
         left = m_max - (key & entries).bit_count()
@@ -579,8 +628,15 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
             record(key)
         elif left > 3:
             go(key, s, left)
+        elif left and s.bit_count() > 2:
+            direct(key, s, left)
         elif left:
-            finish(key, s, left)
+            rows = tables[left].get(s)
+            if rows is None:
+                rows = tables[left][s] = complete(s, left)
+            for bits, x in rows:
+                if not key & x:
+                    record(key | bits)
     # go refers to itself, so without this the run's tables would outlive
     # it until a full garbage collection
     del go
@@ -654,7 +710,10 @@ def enumerate_clusters(
     run on N workers may hold up to N times the cap.  Each share's
     search also holds its completion tables, keyed by syndromes of at
     most two bits, so at most r(r + 1)/2 keys for r checks per number of
-    entries left, whatever the cap.
+    entries left, whatever the cap.  The problem's tails, like its pair
+    table, are bounded by the code, not by the search: at most one word
+    per entry and check whose reach its word meets, plus the entries'
+    own words.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")

@@ -219,6 +219,12 @@ class TestEnumerate:
         assert rows <= sum(len(flipping) ** 2 for flipping in problem.branches)
         # a table of all ordered pairs would hold about (3n)^2 / 2 rows
         assert rows * 50 < len(problem.syn) ** 2 // 2
+        # one tail word per entry, plus one per entry and check whose
+        # reach its word meets, so at most the reach of each of its checks
+        words = max(s.bit_count() for s in problem.syn)
+        reach = max(r.bit_count() for r in problem.reach)
+        assert len(problem.tails) <= len(problem.syn) * (1 + words * reach)
+        assert len(problem.tails) * 50 < len(problem.syn) ** 2 // 2
         census = enumerate_clusters(code, 4, sector="full")
         # below the distance L only the weight-4 stabilizer generators close
         assert census.distinct == census.irreducible == (0, 0, 0, 0, 2 * L * L)
@@ -869,10 +875,10 @@ class TestNonCssCodes:
                 assert all(is_irreducible(code, part) for part in parts)
 
 
-class TestReachCut:
-    """The last-level cut in the search drops only dead ends."""
+class TestTailCut:
+    """The tail cut before each two-entry step drops only dead ends."""
 
-    def test_rejected_children_have_no_one_or_two_entry_completion(self):
+    def test_every_one_or_two_entry_completion_passes(self):
         fired = []
 
         @settings(max_examples=120, deadline=None)
@@ -888,29 +894,31 @@ class TestReachCut:
             else:
                 code = five_qubit_code(which == "five-y")
             problem = _build_problem(code, "full")
-            syn, reach = problem.syn, problem.reach
-            n = len(syn) // 3
+            syn, reach, tails = problem.syn, problem.reach, problem.tails
+
+            def passes(w):
+                # the search's test of a nonzero word w, j its lowest check
+                j = (w & -w).bit_length() - 1
+                tail = w & ~reach[j]
+                return not tail or tail in tails
+
+            ordered = []
+            for a, da in enumerate(syn):
+                if da:
+                    assert passes(da)
+                for b, db in enumerate(syn):
+                    w = da ^ db
+                    # the first entry flips the lowest bit of the pair's word
+                    if a // 3 != b // 3 and w and da & w & -w:
+                        assert passes(w)
+                        ordered.append((a, w))
+            # three entries on distinct positions: the cut rejects some
             rejected = 0
-            for _ in range(40):
-                # a random partial cluster: one label on each of a few positions
-                used = rng.sample(range(n), rng.randint(1, min(4, n - 2)))
-                key = sum(1 << (3 * j + rng.randrange(3)) for j in used)
-                s = syndrome_of(key, syn)
-                if s.bit_count() <= 2:
-                    continue
-                i = (s & -s).bit_length() - 1
-                outside = ~clusters_module._reach_cut(reach, s, i)
-                for ds, bit, excl in problem.branches[i]:
-                    ns = s ^ ds
-                    if key & excl or not ns & outside:
-                        continue
-                    rejected += 1
-                    taken = {*used, (bit.bit_length() - 1) // 3}
-                    free = [e for e in range(len(syn)) if e // 3 not in taken]
-                    assert all(syn[e] != ns for e in free)
-                    assert all(
-                        syn[a] ^ syn[b] != ns for a in free for b in free if a // 3 < b // 3
-                    )
+            for a, w in rng.sample(ordered, min(40, len(ordered))):
+                for c, dc in enumerate(syn):
+                    t = w ^ dc
+                    if c // 3 != a // 3 and t and not passes(t):
+                        rejected += 1
             fired.append(rejected > 0)
 
         check()
@@ -938,11 +946,11 @@ def ordered_completions(problem, s, taken, left):
 
 
 class TestCompletionTables:
-    """The completion routine that finishes the search's last three
-    entries, directly or from its per-syndrome tables."""
+    """The search's last three entries, finished from its per-syndrome
+    tables or directly, list every ordered completion once."""
 
     def test_rows_match_ordered_completions(self):
-        met_direct = []
+        met = Counter()
 
         @settings(max_examples=100, deadline=None)
         @given(
@@ -961,66 +969,50 @@ class TestCompletionTables:
                 sector = which
                 if which.startswith("ft-"):
                     code, sector = ft_extend(code, 2, errors=which[3:]), "ft"
-            problem = _build_problem(code, sector)
-            width, syn = problem.width, problem.syn
-            completer = clusters_module._completer
-            complete = completer(problem)
-            calls = []
-
-            def spying(problem):
-                inner = completer(problem)
-
-                def spy(key, s, left):
-                    calls.append((key, s, left))
-                    return inner(key, s, left)
-
-                return spy
-
             # a small budget leaves states three short of the cap to the search
-            with (
-                patch.object(clusters_module, "_FRONTIER_BUDGET", budget),
-                patch.object(clusters_module, "_completer", spying),
-            ):
+            with patch.object(clusters_module, "_FRONTIER_BUDGET", budget):
                 census = enumerate_clusters(code, m_max, sector=sector)
             assert census.same_counts(brute_force_census(code, m_max, sector=sector))
-
-            def key_and_mask(entries):
-                masks = (((1 << width) - 1) << (e - e % width) for e in entries)
-                return sum(1 << e for e in entries), reduce(or_, masks, 0)
-
-            def assert_rows(key, s, left):
-                rows = Counter(complete(key, s, left))
-                taken = {e // width for e in set_bits(split_key(problem, key))}
-                completions = ordered_completions(problem, s, taken, left)
-                decoded = Counter((split_key(problem, b), x) for b, x in rows.elements())
-                assert decoded == Counter(key_and_mask(c) for c in completions)
-                # the rows for key 0 whose masks miss key are the rows for key
-                assert rows == Counter(r for r in complete(0, s, left) if not key & r[1])
-
-            # a table is filled under key 0, once per syndrome and entries
-            # left, and only for syndromes of one or two bits; every other
-            # state is completed under its own, nonempty key
-            fills = [(s, left) for key, s, left in calls if not key]
-            direct = [(key, s, left) for key, s, left in calls if key]
-            assert len(set(fills)) == len(fills)
-            assert all(0 < s.bit_count() <= 2 and 1 <= left <= 3 for s, left in fills)
-            assert all(s.bit_count() > 2 and 1 <= left <= 3 for _, s, left in direct)
-            met_direct.append(bool(direct))
-            for s, left in fills:
-                assert_rows(0, s, left)
-            for key, s, left in direct[:: max(1, len(direct) // 10)]:
-                assert_rows(key, s, left)
-            # random partial clusters, with syndromes of any size
+            problem = _build_problem(code, sector)
+            width, syn, seeds = problem.width, problem.syn, problem.seeds
             n = len(syn) // width
             for _ in range(20):
+                # a single start: a random partial cluster, half the time
+                # grown by the repair rule as the search grows its states
                 used = rng.sample(range(n), rng.randint(1, min(4, n)))
-                key = reduce(or_, (problem.seeds[width * j + rng.randrange(width)][1] for j in used))
+                entries = [width * j + rng.randrange(width) for j in used]
+                if rng.random() < 0.5:
+                    entries, s = entries[:1], syn[entries[0]]
+                    while len(entries) < len(used):
+                        taken = {e // width for e in entries}
+                        free = [
+                            e for e, d in enumerate(syn) if d & s & -s and e // width not in taken
+                        ]
+                        if not free:
+                            break
+                        entries.append(rng.choice(free))
+                        s ^= syn[entries[-1]]
+                key = reduce(or_, (seeds[e][1] for e in entries))
                 s = syndrome_of(split_key(problem, key), syn)
+                depth, left = len(entries), rng.randint(1, 3)
+                paths, found = clusters_module._run_seeds(
+                    problem, [(key, s, 1)], depth + left, 10**6
+                )
+                taken = {e // width for e in entries}
+                completions = ordered_completions(problem, s, taken, left)
+                expected = [0] * (depth + left + 1)
+                for c in completions:
+                    expected[depth + len(c)] += 1
+                assert paths == expected
+                bits = split_key(problem, key)
+                assert set(found) == {bits | sum(1 << e for e in c) for c in completions}
                 if s:
-                    assert_rows(key, s, rng.randint(1, 3))
+                    kind = "served" if s.bit_count() <= 2 else "direct"
+                    met[kind] += 1
+                    met[kind, "recorded"] += bool(found)
 
         check()
-        assert any(met_direct)
+        assert all(met[kind, "recorded"] for kind in ("served", "direct"))
 
 
 def random_graph_checks(rng, rows, cols):
