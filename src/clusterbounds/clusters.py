@@ -69,14 +69,16 @@ clusters are reached by several orderings, mostly from different seeds.
 So the first levels are grown breadth-first into a frontier that maps
 each distinct partial cluster's key to its state: its syndrome, the
 parent's XOR the word of the entry placed, and its path multiplicity,
-the number of search paths reaching it.  The depth-first search runs
-once from each frontier state, counting every completion below it that
-many times, so no syndrome is recomputed from a key.  A fixed budget
-and the memory cap bound the frontier's size.  A census deals the
-frontier's states into one strided share per worker, as (key, syndrome,
-multiplicity) starts, searches each share apart (in process when there
-is one, on a process pool otherwise), and merges the shares' path counts
-and their maps from each distinct cluster's entry bits to its class.
+the number of search paths reaching it.  The depth-first search enters
+each frontier state as the empty state's one child, so one dispatch
+finishes every state.  It counts each completion below a frontier state
+with that state's multiplicity, and recomputes no syndrome from a key.
+A fixed budget and the memory cap bound the frontier's size.  A census
+deals the frontier's states into one strided share per worker, as (key,
+syndrome, multiplicity) starts, searches each share apart (in process
+when there is one, on a process pool otherwise), and merges the shares'
+path counts and their maps from each distinct cluster's entry bits to
+its class.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -444,24 +446,62 @@ def _frontier(problem: _Problem, m_max: int, limit: int) -> dict[int, tuple[int,
     return layer
 
 
-def _completer(problem: _Problem):
-    """The table routine of a search run, with the problem's tables bound
-    once.
+def _cap_error(cap: int) -> ResourceCapError:
+    """The error of a census that finds more than cap distinct clusters."""
+    return ResourceCapError(f"more than {cap} distinct clusters; raise the memory cap to continue")
 
-    complete(s, left), for 1 <= left <= 3, lists as (key bits, exclusion
-    mask) rows every completion of at most left entries that the repair
-    rule admits for the empty key and a syndrome s of one or two bits, by
-    the lookups of the module docstring.  A row's mask is the OR of its
-    entries' masks, so the rows whose masks miss a key are the rows for
-    that key.  It makes no cut: a check flipped by an entry lies in its
-    own reach, so the bits of s outside the reach of its lowest check
-    name at most one check and the reach cut never fires, and a tail cut
-    would save little in a table filled once per syndrome."""
-    branches, closers, pairs, lowest = (
-        problem.branches, problem.closers, problem.pairs, problem.lowest
+
+def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
+    """Depth-first search from (key, syndrome, multiplicity) starts;
+    returns per-weight path counts and a dict from each distinct recorded
+    cluster's entry bits to its class, raising ResourceCapError once
+    there are more than cap of them.  The class is whether the cluster is
+    irreducible, V = m for the V checks its key's high bits name, in a
+    graph-like sector, and None in any other.
+
+    Each start is the empty state's one child, placed by an entry whose
+    word is its syndrome and whose key bits are its key; that entry's
+    exclusion mask 0 is only tested against the empty key.  So go alone
+    decides how a state finishes, and every completion below a start is
+    recorded with the start's multiplicity: paths counts the search paths
+    through all orderings that reach the start's key.  A start with no
+    entries left and a nonzero syndrome has no completion and is dropped.
+    A state with nonzero syndrome and more than three entries left
+    branches.  Any other with entries left is finished in one step: from
+    this run's tables (module docstring) where its syndrome s has at most
+    two bits, filled by complete(s, left) the first time s is met with
+    that many entries left, and otherwise directly under its own key,
+    after the reach and tail cuts.  complete makes no cut: a check
+    flipped by an entry lies in its own reach, so the bits of s outside
+    the reach of its lowest check name at most one check and the reach
+    cut never fires, and a tail cut would save little in a table filled
+    once per syndrome."""
+    branches, closers, pairs, lowest, reach, tails = (
+        problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach,
+        problem.tails,
     )
+    paths = [0] * (m_max + 1)
+    found: dict[int, bool | None] = {}
+    mult = 1
+    n = len(problem.syn)
+    entries = (1 << n) - 1
+    # tables[left], for 1 <= left <= 3: syndrome -> the rows for key 0
+    tables: tuple[dict[int, list], ...] = ({}, {}, {}, {})
+
+    def record(key: int) -> None:
+        k = key & entries
+        m = k.bit_count()
+        paths[m] += mult
+        if k not in found:
+            if len(found) >= cap:
+                raise _cap_error(cap)
+            touched = key >> n
+            found[k] = touched.bit_count() == m if touched else None
 
     def complete(s: int, left: int) -> list:
+        # the two-entry step is written here and again in direct: filling
+        # the tables by running direct under the empty key, each row's
+        # mask taken from its bits, gave the same rows but a slower census
         if left == 1:
             return closers.get(s, [])
         rows = []
@@ -485,58 +525,6 @@ def _completer(problem: _Problem):
                     if not child & x2:
                         rows.append((b0 | b1 | b2, x0 | x1 | x2))
         return rows
-
-    return complete
-
-
-def _cap_error(cap: int) -> ResourceCapError:
-    """The error of a census that finds more than cap distinct clusters."""
-    return ResourceCapError(f"more than {cap} distinct clusters; raise the memory cap to continue")
-
-
-def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
-    """Depth-first search from (key, syndrome, multiplicity) starts;
-    returns per-weight path counts and a dict from each distinct recorded
-    cluster's entry bits to its class, raising ResourceCapError once
-    there are more than cap of them.  The class is whether the cluster is
-    irreducible, V = m for the V checks its key's high bits name, in a
-    graph-like sector, and None in any other.
-
-    Every completion below a start is recorded with the start's
-    multiplicity, so paths counts the search paths through all orderings
-    that reach the start's key.  A state with nonzero syndrome and more
-    than three entries left branches; any other state with entries left
-    is finished in one step that records its completions.  Where its
-    syndrome s has at most two bits, the rows come from a table of this
-    run, filled by the table routine the first time s is met with that
-    many entries left, and each row is ANDed against the state's key.
-    The tables keep only syndromes of one or two bits, so each holds at
-    most r(r + 1)/2 keys for r checks.  A state with a larger syndrome,
-    as most are in the full-Pauli sector, is finished directly under its
-    own key, after the reach and tail cuts: keeping those syndromes would
-    bound the tables by the search, not by the code."""
-    branches, closers, pairs, lowest, reach, tails = (
-        problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach,
-        problem.tails,
-    )
-    complete = _completer(problem)
-    paths = [0] * (m_max + 1)
-    found: dict[int, bool | None] = {}
-    mult = 1
-    n = len(problem.syn)
-    entries = (1 << n) - 1
-    # tables[left], for 1 <= left <= 3: syndrome -> the rows for key 0
-    tables: tuple[dict[int, list], ...] = ({}, {}, {}, {})
-
-    def record(key: int) -> None:
-        k = key & entries
-        m = k.bit_count()
-        paths[m] += mult
-        if k not in found:
-            if len(found) >= cap:
-                raise _cap_error(cap)
-            touched = key >> n
-            found[k] = touched.bit_count() == m if touched else None
 
     def direct(key: int, s: int, left: int) -> None:
         if left == 1:
@@ -591,9 +579,9 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
                     if not child & x2:
                         record(child | b2)
 
-    def go(key: int, s: int, left: int) -> None:
+    def go(key: int, s: int, left: int, firsts) -> None:
         left -= 1
-        for ds, bit, excl in branches[(s & -s).bit_length() - 1]:
+        for ds, bit, excl in firsts:
             if key & excl:
                 continue
             ns = s ^ ds
@@ -601,7 +589,7 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
             if ns == 0:
                 record(child)
             elif left > 3:
-                go(child, ns, left)
+                go(child, ns, left, branches[(ns & -ns).bit_length() - 1])
             elif ns.bit_count() > 2:
                 direct(child, ns, left)
             else:
@@ -624,19 +612,8 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
 
     for key, s, mult in starts:
         left = m_max - (key & entries).bit_count()
-        if s == 0:
-            record(key)
-        elif left > 3:
-            go(key, s, left)
-        elif left and s.bit_count() > 2:
-            direct(key, s, left)
-        elif left:
-            rows = tables[left].get(s)
-            if rows is None:
-                rows = tables[left][s] = complete(s, left)
-            for bits, x in rows:
-                if not key & x:
-                    record(key | bits)
+        if left or not s:
+            go(0, 0, left + 1, ((s, key, 0),))
     # go refers to itself, so without this the run's tables would outlive
     # it until a full garbage collection
     del go

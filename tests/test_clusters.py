@@ -946,8 +946,10 @@ def ordered_completions(problem, s, taken, left):
 
 
 class TestCompletionTables:
-    """The search's last three entries, finished from its per-syndrome
-    tables or directly, list every ordered completion once."""
+    """A single start, entering the search as the empty state's one
+    child, lists every ordered completion once, whether it branches, is
+    finished from the per-syndrome tables or directly, or has nothing
+    left to place."""
 
     def test_rows_match_ordered_completions(self):
         met = Counter()
@@ -994,7 +996,7 @@ class TestCompletionTables:
                         s ^= syn[entries[-1]]
                 key = reduce(or_, (seeds[e][1] for e in entries))
                 s = syndrome_of(split_key(problem, key), syn)
-                depth, left = len(entries), rng.randint(1, 3)
+                depth, left = len(entries), rng.randint(0, 5)
                 paths, found = clusters_module._run_seeds(
                     problem, [(key, s, 1)], depth + left, 10**6
                 )
@@ -1006,13 +1008,22 @@ class TestCompletionTables:
                 assert paths == expected
                 bits = split_key(problem, key)
                 assert set(found) == {bits | sum(1 << e for e in c) for c in completions}
-                if s:
+                if not s:
+                    kind = "closed"
+                elif not left:
+                    kind = "stuck"
+                elif left > 3:
+                    kind = "branched"
+                else:
                     kind = "served" if s.bit_count() <= 2 else "direct"
-                    met[kind] += 1
-                    met[kind, "recorded"] += bool(found)
+                met[kind] += 1
+                met[kind, "recorded"] += bool(found)
 
         check()
-        assert all(met[kind, "recorded"] for kind in ("served", "direct"))
+        assert all(met[kind, "recorded"] for kind in ("branched", "served", "direct"))
+        # a closed start records itself, and a stuck one nothing
+        assert met["closed"] == met["closed", "recorded"] > 0
+        assert met["stuck"] and not met["stuck", "recorded"]
 
 
 def random_graph_checks(rng, rows, cols):
