@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "cap on the census's distinct clusters; it also bounds the search's "
             "frontier of partial clusters, which is dealt into one share per "
-            "worker, and the search of each share holds up to this many clusters"
+            "worker, and the search of each share holds up to this many clusters "
+            "and this many syndromes in each of its three completion tables"
         ),
     )
     c.add_argument("--oracle", action="store_true", help="cross-check against brute force")

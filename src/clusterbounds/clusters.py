@@ -35,17 +35,17 @@ too, with no repair rule.
 
 A state's completions depend on its key only through the exclusion
 masks: the completions of a state are those of the empty key whose
-masks miss its key.  So where its syndrome s names at most two checks,
-each search run keeps the empty key's completions, as (key bits,
-exclusion mask) rows, per syndrome and number of entries left, filled
-the first time it meets them, and the state finishes by one lookup and
-one AND against its key per row.  There are r(r + 1)/2 syndromes of one
-or two bits for r checks, which bounds the tables by the code, not by
-the search.  In the toric code's single sectors and its space-time code
-every entry flips at most two checks, so a repair step clears one bit
-and sets at most one, and every finished state is served this way.  A
-state with a larger syndrome, as most are in the full-Pauli sector, is
-finished directly under its own key, behind two cuts.
+masks miss its key.  So each search run keeps the empty key's
+completions, as (key bits, exclusion mask) rows, per syndrome and number
+of entries left, listed behind two cuts the first time it meets them,
+and every finished state is served by one lookup and one AND against its
+key per row; a syndrome with no completion keeps one shared empty tuple.
+The tables pay by reuse: on toric L=4 full at m_max 8 one run serves
+75,848 states from 33,258 syndromes, 7,262 of them with rows.  They grow
+with the search, so each stops growing at the memory cap, and later
+syndromes are listed each time they are met.  Where every entry flips
+at most two checks, a repair step clears one bit and sets at most one,
+so the tables hold at most r(r + 1)/2 syndromes for r checks.
 
 The reach cut comes before the three-entry step branches: reach[i] is
 the OR of the syndrome words of every entry flipping check i, so the
@@ -61,8 +61,10 @@ reach[j], and w & ~reach[j] is 0 or the second entry's bits outside
 reach[j].  Those are the tails: every entry's word, and its bits
 outside the reach of each check whose reach it meets, so a code with
 bounded reach holds a number linear in its entries.  A syndrome whose
-bits outside reach[j] are neither has no completion.  The cuts drop
-only states with no completion, so every count stays exact.
+bits outside reach[j] are neither has no completion.  Where no entry's
+word has more than two bits the problem builds no tails and the search
+makes no tail cut.  The cuts drop only states with no completion, and
+skipping one drops none, so every count stays exact.
 
 A state's whole subtree depends only on its key, and most partial
 clusters are reached by several orderings, mostly from different seeds.
@@ -78,7 +80,8 @@ deals the frontier's states into one strided share per worker, as (key,
 syndrome, multiplicity) starts, searches each share apart (in process
 when there is one, on a process pool otherwise), and merges the shares'
 path counts and their maps from each distinct cluster's entry bits to
-its class.
+its class.  A share names its problem by code and sector, which a worker
+reads from the problem cache, so no problem is pickled.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -96,9 +99,10 @@ entry left violated, so a recorded cluster is connected, and it is
 irreducible exactly when V = m.  The key's bits above its entries are
 the V checks, so the search classifies each cluster when it first
 records it.  In every other sector the census takes the rank from
-gf2.echelon after the search.  A cluster's word is the XOR of one
-word per entry, (v|u) for a Pauli label and the column bit for a binary
-entry.  An undetectable word lies in the degeneracy group exactly when
+gf2.echelon after the search, on the map that ran it, in one strided
+part of the merged clusters per share.  A cluster's word is the XOR of
+one word per entry, (v|u) for a Pauli label and the column bit for a
+binary entry.  An undetectable word lies in the degeneracy group exactly when
 it meets every vector of the degeneracy rows' kernel evenly, and the
 kernel vectors inside the checks' span meet every undetectable word
 evenly; the problem build refuses degeneracy rows that a check meets
@@ -247,9 +251,11 @@ class _Problem:
     # per check in search order: the OR of the syndrome words of every
     # entry that flips it, the checks an entry placed there can touch
     reach: tuple
-    # every entry's syndrome word d, and d & ~reach[c] for every check c
-    # whose reach d meets: so the bits outside reach[j] of every two-entry
-    # completion word whose lowest check is j, when they are not 0
+    # where some entry's word has more than two bits: every entry's
+    # syndrome word d, and d & ~reach[c] for every check c whose reach d
+    # meets (0 for each check of d), so the bits outside reach[j] of every
+    # one- or two-entry completion word whose lowest check is j; elsewhere
+    # empty, and the search makes no tail cut
     tails: frozenset
     # per entry: (syndrome word, key bit, exclusion mask); in a
     # graph-like sector (width 1, no word of more than two bits) entry
@@ -377,9 +383,10 @@ def _problem(
                     pairs.setdefault(w, []).append((b1 | b2, x1 | x2))
     reach = tuple(reduce(or_, (ds for ds, _, _ in flipping), 0) for flipping in branches)
     # reach is symmetric, check c lying in reach[i] when an entry flips
-    # both, so the checks whose reach meets d are the reach of d's checks
-    tails = set(syn)
-    for ds in set(syn):
+    # both, so the checks whose reach meets d are the reach of d's checks;
+    # where no word has more than two bits the fills run without the cut
+    tails = set(syn) if any(s.bit_count() > 2 for s in syn) else set()
+    for ds in set(tails):
         near = reduce(or_, (reach[i] for i in set_bits(ds)), 0)
         tails.update(ds & ~reach[c] for c in set_bits(near))
     # the check rows lie in the degeneracy rows' kernel, so the kernel
@@ -451,13 +458,14 @@ def _cap_error(cap: int) -> ResourceCapError:
     return ResourceCapError(f"more than {cap} distinct clusters; raise the memory cap to continue")
 
 
-def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
-    """Depth-first search from (key, syndrome, multiplicity) starts;
-    returns per-weight path counts and a dict from each distinct recorded
-    cluster's entry bits to its class, raising ResourceCapError once
-    there are more than cap of them.  The class is whether the cluster is
-    irreducible, V = m for the V checks its key's high bits name, in a
-    graph-like sector, and None in any other.
+def _run_seeds(code, sector: str, starts, m_max: int, cap: int):
+    """Depth-first search from (key, syndrome, multiplicity) starts on the
+    problem of (code, sector); returns per-weight path counts and a dict
+    from each distinct recorded cluster's entry bits to its class,
+    raising ResourceCapError once there are more than cap of them.  The
+    class is whether the cluster is irreducible, V = m for the V checks
+    its key's high bits name, in a graph-like sector, and None in any
+    other.
 
     Each start is the empty state's one child, placed by an entry whose
     word is its syndrome and whose key bits are its key; that entry's
@@ -467,15 +475,12 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     through all orderings that reach the start's key.  A start with no
     entries left and a nonzero syndrome has no completion and is dropped.
     A state with nonzero syndrome and more than three entries left
-    branches.  Any other with entries left is finished in one step: from
-    this run's tables (module docstring) where its syndrome s has at most
-    two bits, filled by complete(s, left) the first time s is met with
-    that many entries left, and otherwise directly under its own key,
-    after the reach and tail cuts.  complete makes no cut: a check
-    flipped by an entry lies in its own reach, so the bits of s outside
-    the reach of its lowest check name at most one check and the reach
-    cut never fires, and a tail cut would save little in a table filled
-    once per syndrome."""
+    branches.  Any other with entries left is finished from this run's
+    tables (module docstring): complete(s, left) lists the empty key's
+    rows after the reach and tail cuts, the first time s is met with that
+    many entries left, and keeps them while the table holds fewer than
+    cap syndromes."""
+    problem = _build_problem(code, sector)
     branches, closers, pairs, lowest, reach, tails = (
         problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach,
         problem.tails,
@@ -498,42 +503,14 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
             touched = key >> n
             found[k] = touched.bit_count() == m if touched else None
 
-    def complete(s: int, left: int) -> list:
-        # the two-entry step is written here and again in direct: filling
-        # the tables by running direct under the empty key, each row's
-        # mask taken from its bits, gave the same rows but a slower census
-        if left == 1:
-            return closers.get(s, [])
-        rows = []
-        for d0, b0, x0 in _NO_ENTRY if left == 2 else branches[(s & -s).bit_length() - 1]:
-            ns = s ^ d0
-            if ns == 0:
-                rows.append((b0, x0))
-                continue
-            # the two-entry step from syndrome ns, after the first entry
-            for bits, x in pairs.get(ns, ()):
-                if not b0 & x:
-                    rows.append((b0 | bits, x0 | x))
-            for d1, b1, x1 in lowest[(ns & -ns).bit_length() - 1]:
-                if d1 & ~ns or b0 & x1:
-                    continue
-                if d1 == ns:
-                    rows.append((b0 | b1, x0 | x1))
-                    continue
-                child = b0 | b1
-                for b2, x2 in closers.get(ns ^ d1, ()):
-                    if not child & x2:
-                        rows.append((b0 | b1 | b2, x0 | x1 | x2))
-        return rows
-
-    def direct(key: int, s: int, left: int) -> None:
-        if left == 1:
-            for bits, excl in closers.get(s, ()):
-                if not key & excl:
-                    record(key | bits)
-            return
+    def complete(s: int, left: int):
+        # the empty key's rows for syndrome s and left entries, kept in
+        # tables[left] while it holds fewer than cap syndromes
+        rows: list = []
         firsts, outside = _NO_ENTRY, 0
-        if left == 3:
+        if left == 1:
+            rows, firsts = closers.get(s, ()), ()
+        elif left == 3:
             # the reach cut: the checks of s outside reach[i] stay violated
             # in every child; three that no entry flips in pairs need three
             # more entries, and two, a and b, need one entry inside
@@ -545,39 +522,40 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
                 rest = kept & ~reach_a
                 if rest:
                     reach_b = reach[(rest & -rest).bit_length() - 1]
-                    if rest & ~reach_b:
-                        return
                     outside = ~(reach_a | reach_b)
+                    if rest & ~reach_b:
+                        firsts = ()
         for d0, b0, x0 in firsts:
-            if key & x0:
-                continue
             ns = s ^ d0
-            head = key | b0
             if ns == 0:
-                record(head)
+                rows.append((b0, x0))
                 continue
             if ns & outside:
                 continue
             # the tail cut: the bits of ns outside reach[j] are none or the
-            # second entry's bits outside it, which tails holds
+            # second entry's bits outside it, both in tails where it is built
             j = (ns & -ns).bit_length() - 1
-            tail = ns & ~reach[j]
-            if tail and tail not in tails:
+            if tails and ns & ~reach[j] not in tails:
                 continue
             # the two-entry step from syndrome ns, after the first entry
-            for bits, excl in pairs.get(ns, ()):
-                if not head & excl:
-                    record(head | bits)
+            for bits, x in pairs.get(ns, ()):
+                if not b0 & x:
+                    rows.append((b0 | bits, x0 | x))
             for d1, b1, x1 in lowest[j]:
-                if d1 & ~ns or head & x1:
+                if d1 & ~ns or b0 & x1:
                     continue
                 if d1 == ns:
-                    record(head | b1)
+                    rows.append((b0 | b1, x0 | x1))
                     continue
-                child = head | b1
+                child = b0 | b1
                 for b2, x2 in closers.get(ns ^ d1, ()):
                     if not child & x2:
-                        record(child | b2)
+                        rows.append((child | b2, x0 | x1 | x2))
+        # a dead syndrome keeps the one shared empty tuple
+        rows = rows or ()
+        if len(tables[left]) < cap:
+            tables[left][s] = rows
+        return rows
 
     def go(key: int, s: int, left: int, firsts) -> None:
         left -= 1
@@ -590,14 +568,12 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
                 record(child)
             elif left > 3:
                 go(child, ns, left, branches[(ns & -ns).bit_length() - 1])
-            elif ns.bit_count() > 2:
-                direct(child, ns, left)
             else:
                 rows = tables[left].get(ns)
                 if rows is None:
-                    rows = tables[left][ns] = complete(ns, left)
-                # record(child | bits), inlined: in the binary sectors
-                # almost every finished state ends here
+                    rows = complete(ns, left)
+                # record(child | bits), inlined: almost every finished
+                # state ends here
                 for bits, x in rows:
                     if not child & x:
                         done = child | bits
@@ -618,6 +594,13 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     # it until a full garbage collection
     del go
     return paths, found
+
+
+def _rank(code, sector: str, keys: list[int]) -> list[bool]:
+    """Whether each cluster, given by its entry bits, is irreducible: its
+    entries' syndrome words have rank m - 1."""
+    syn = _build_problem(code, sector).syn
+    return [key.bit_count() - len(echelon([syn[e] for e in set_bits(key)])) == 1 for key in keys]
 
 
 def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
@@ -641,12 +624,10 @@ def _classify(problem: _Problem, found: dict, paths: list[int], keep: bool) -> C
     irred = [0] * (m_max + 1)
     nonstab = [0] * (m_max + 1)
     kept: list[list[Cluster]] | None = [[] for _ in range(m_max + 1)] if keep else None
-    syn, parities = problem.syn, problem.parities
+    parities = problem.parities
     for key, irreducible in found.items():
         m = key.bit_count()
         distinct[m] += 1
-        if irreducible is None:
-            irreducible = m - len(echelon([syn[e] for e in set_bits(key)])) == 1
         if irreducible:
             irred[m] += 1
             for p in parities:
@@ -674,9 +655,14 @@ def enumerate_clusters(
     partial clusters, each searched once.  Frontier key i goes to share
     i mod N, for N = min(workers, frontier size), and one map runs the
     depth-first search on every share: the built-in map for one share,
-    a pool of N worker processes for more.  The shares' path counts are
-    summed and their dicts of distinct clusters merged into the first,
-    so the census does not depend on the worker count or the schedule.
+    a pool of N worker processes for more.  A share carries (code,
+    sector): a forked worker finds the problem in the _build_problem
+    cache it inherited, and any other builds it once.  The shares' path
+    counts are summed and their dicts of distinct clusters merged into
+    the first, so the census does not depend on the worker count or the
+    schedule.  The same map then ranks, in N strided parts, the merged
+    clusters whose class the search left open (outside the graph-like
+    sectors), so a pooled census does no elimination in the parent.
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
@@ -685,12 +671,16 @@ def enumerate_clusters(
     also holds up to min(_FRONTIER_BUDGET, max_stored) partial clusters
     in its frontier.  The shares overlap in the clusters they find, so a
     run on N workers may hold up to N times the cap.  Each share's
-    search also holds its completion tables, keyed by syndromes of at
-    most two bits, so at most r(r + 1)/2 keys for r checks per number of
-    entries left, whatever the cap.  The problem's tails, like its pair
-    table, are bounded by the code, not by the search: at most one word
-    per entry and check whose reach its word meets, plus the entries'
-    own words.
+    search also holds its completion tables, one per number of entries
+    left (1 to 3), keyed by the syndromes it meets and each stopping at
+    max_stored keys; at most r(r + 1)/2 keys each for r checks in a
+    graph-like sector.  In the full-Pauli sector they are most of what a
+    worker holds: on toric L=12 full at m_max 8 one worker keeps about
+    0.48 million syndromes and peaked at 92 MB RSS, against 24 MB when
+    only syndromes of at most two bits were kept.  The problem's
+    tails, like its pair table, are bounded by the code: at most one
+    word per entry and check whose reach its word meets, plus the
+    entries' own words.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
@@ -712,7 +702,9 @@ def enumerate_clusters(
     paths, found = [0] * (m_max + 1), {}
     with pool:
         shares = [starts[i::n] for i in range(n)]
-        results = run(_run_seeds, repeat(problem), shares, repeat(m_max), repeat(max_stored))
+        results = run(
+            _run_seeds, repeat(code), repeat(sector), shares, repeat(m_max), repeat(max_stored)
+        )
         # each share is freed once its run is done; dropping the frontier
         # keeps it out of the merge, where the parent's memory peaks
         del starts, shares
@@ -722,8 +714,12 @@ def enumerate_clusters(
                 found.update(share)
             else:
                 found = share
-    if len(found) > max_stored:
-        raise _cap_error(max_stored)
+        if len(found) > max_stored:
+            raise _cap_error(max_stored)
+        unranked = [key for key, irreducible in found.items() if irreducible is None]
+        parts = [unranked[i::n] for i in range(n)]
+        for part, ranks in zip(parts, run(_rank, repeat(code), repeat(sector), parts)):
+            found.update(zip(part, ranks))
     return _classify(problem, found, paths, keep_clusters)
 
 

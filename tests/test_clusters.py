@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import random
+import sys
 from collections import Counter
 from functools import partial, reduce
 from operator import or_, xor
@@ -195,20 +196,28 @@ class TestEnumerate:
         with pytest.raises(ResourceCapError):
             enumerate_clusters(toric3, 6, sector="x", workers=2, max_stored=5)
 
-    def test_memory_cap_counts_distinct_clusters_whatever_the_workers(self, toric2, toric3):
+    def test_memory_cap_counts_distinct_clusters_whatever_the_workers(
+        self, toric2, toric3, toric4
+    ):
         # toric L=2 x at m_max 3 has a frontier of its 8 seeds, so nine
         # workers make eight shares of one seed each, none of them over the
-        # cap alone
-        for code, m_max, workers in [
-            (toric3, 6, 1), (toric3, 6, 2), (toric3, 6, 8), (toric2, 3, 9)
+        # cap alone; toric L=4 full at m_max 8 meets about seven times as
+        # many syndromes as it has distinct clusters, so its tables stop
+        # growing at the cap
+        for code, sector, m_max, workers in [
+            (toric3, "x", 6, 1), (toric3, "x", 6, 2), (toric3, "x", 6, 8), (toric2, "x", 3, 9),
+            (toric4, "full", 8, 1), (toric4, "full", 8, 2),
         ]:
-            total = sum(enumerate_clusters(code, m_max, sector="x").distinct)
+            uncapped = enumerate_clusters(code, m_max, sector=sector)
+            total = sum(uncapped.distinct)
             census = enumerate_clusters(
-                code, m_max, sector="x", workers=workers, max_stored=total
+                code, m_max, sector=sector, workers=workers, max_stored=total
             )
-            assert sum(census.distinct) == total, workers
+            assert census.same_counts(uncapped), (sector, workers)
             with pytest.raises(ResourceCapError):
-                enumerate_clusters(code, m_max, sector="x", workers=workers, max_stored=total - 1)
+                enumerate_clusters(
+                    code, m_max, sector=sector, workers=workers, max_stored=total - 1
+                )
 
     def test_toric12_full_weight_four(self):
         L = 12
@@ -284,6 +293,36 @@ class TestParallel:
         one_qubit = new_css(BitMatrix((1,), 1), BitMatrix((), 1))
         census = enumerate_clusters(one_qubit, 3, sector="x", workers=4)
         assert census.distinct == census.paths == (0, 1, 0, 0)
+
+    def test_pooled_shares_do_not_pickle_the_problem(self, toric3, monkeypatch):
+        one = enumerate_clusters(toric3, 6, sector="full", keep_clusters=True)
+
+        def refuse(self, protocol):
+            raise AssertionError("a pooled census pickled its problem")
+
+        monkeypatch.setattr(clusters_module._Problem, "__reduce_ex__", refuse)
+        many = enumerate_clusters(toric3, 6, sector="full", workers=2, keep_clusters=True)
+        assert many.same_counts(one)
+        assert many.clusters == one.clusters
+
+    def test_pooled_census_ranks_in_the_workers(self, toric3, monkeypatch):
+        # the problem build ranks the checks, so the problem is cached first
+        _build_problem(toric3, "full")
+        calls = []
+        rank = clusters_module.echelon
+
+        def spy(words):
+            calls.append(words)
+            return rank(words)
+
+        # a worker's calls reach its own copy of the spy
+        monkeypatch.setattr(clusters_module, "echelon", spy)
+        pooled = enumerate_clusters(toric3, 6, sector="full", workers=2)
+        assert not calls
+        # one share is ranked in process, where the spy sees it
+        one = enumerate_clusters(toric3, 6, sector="full")
+        assert len(calls) == sum(one.distinct)
+        assert pooled.same_counts(one)
 
 
 # codes whose census must not depend on how far the frontier is grown
@@ -896,11 +935,15 @@ class TestTailCut:
             problem = _build_problem(code, "full")
             syn, reach, tails = problem.syn, problem.reach, problem.tails
 
+            # a problem builds tails, and cuts, only where some word has
+            # more than two bits
+            assert bool(tails) == any(d.bit_count() > 2 for d in syn)
+
             def passes(w):
                 # the search's test of a nonzero word w, j its lowest check
                 j = (w & -w).bit_length() - 1
                 tail = w & ~reach[j]
-                return not tail or tail in tails
+                return not tail or not tails or tail in tails
 
             ordered = []
             for a, da in enumerate(syn):
@@ -945,11 +988,44 @@ def ordered_completions(problem, s, taken, left):
     return out
 
 
+def traced_fills(code, sector, starts, m_max, cap):
+    """_run_seeds's result, and each call of its table routine complete(s,
+    left) as (s, left, the rows it returned, the size of tables[left]
+    after it), read by a trace function."""
+    complete = next(
+        c for c in clusters_module._run_seeds.__code__.co_consts
+        if getattr(c, "co_name", None) == "complete"
+    )
+    fills = []
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            local = frame.f_locals
+            left = local["left"]
+            fills.append((local["s"], left, arg, len(local["tables"][left])))
+
+    def on_call(frame, event, arg):
+        if frame.f_code is complete:
+            frame.f_trace_lines = False
+            return on_return
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = clusters_module._run_seeds(code, sector, starts, m_max, cap)
+    finally:
+        sys.settrace(previous)
+    return result, fills
+
+
 class TestCompletionTables:
     """A single start, entering the search as the empty state's one
     child, lists every ordered completion once, whether it branches, is
-    finished from the per-syndrome tables or directly, or has nothing
-    left to place."""
+    finished from the per-syndrome tables or has nothing left to place.
+    Each table row is an ordered completion of the empty key, each
+    (syndrome, entries left) is filled once, and a table stops growing at
+    the cap."""
 
     def test_rows_match_ordered_completions(self):
         met = Counter()
@@ -978,6 +1054,13 @@ class TestCompletionTables:
             problem = _build_problem(code, sector)
             width, syn, seeds = problem.width, problem.syn, problem.seeds
             n = len(syn) // width
+
+            def row(completion):
+                return (
+                    reduce(or_, (seeds[e][1] for e in completion)),
+                    reduce(or_, (seeds[e][2] for e in completion)),
+                )
+
             for _ in range(20):
                 # a single start: a random partial cluster, half the time
                 # grown by the repair rule as the search grows its states
@@ -997,8 +1080,8 @@ class TestCompletionTables:
                 key = reduce(or_, (seeds[e][1] for e in entries))
                 s = syndrome_of(split_key(problem, key), syn)
                 depth, left = len(entries), rng.randint(0, 5)
-                paths, found = clusters_module._run_seeds(
-                    problem, [(key, s, 1)], depth + left, 10**6
+                (paths, found), fills = traced_fills(
+                    code, sector, [(key, s, 1)], depth + left, 10**6
                 )
                 taken = {e // width for e in entries}
                 completions = ordered_completions(problem, s, taken, left)
@@ -1015,12 +1098,29 @@ class TestCompletionTables:
                 elif left > 3:
                     kind = "branched"
                 else:
-                    kind = "served" if s.bit_count() <= 2 else "direct"
+                    kind = "served" if s.bit_count() <= 2 else "served wide"
                 met[kind] += 1
                 met[kind, "recorded"] += bool(found)
+                # each fill lists the empty key's ordered completions, once
+                # per syndrome and entries left
+                assert len({(w, k) for w, k, _, _ in fills}) == len(fills)
+                for w, k, rows, _ in fills:
+                    assert 1 <= k <= 3 and w
+                    assert sorted(rows) == sorted(map(row, ordered_completions(problem, w, set(), k)))
+                    met["wide fill"] += w.bit_count() > 2
+                # capped at its distinct clusters, the run keeps at most
+                # that many syndromes per table, and its counts
+                cap = max(1, len(found))
+                (capped_paths, capped), capped_fills = traced_fills(
+                    code, sector, [(key, s, 1)], depth + left, cap
+                )
+                assert capped_paths == paths and capped == found
+                assert all(size <= cap for _, _, _, size in capped_fills)
+                met["refilled"] += len(capped_fills) > len(fills)
 
         check()
-        assert all(met[kind, "recorded"] for kind in ("branched", "served", "direct"))
+        assert all(met[kind, "recorded"] for kind in ("branched", "served", "served wide"))
+        assert met["wide fill"] and met["refilled"]
         # a closed start records itself, and a stuck one nothing
         assert met["closed"] == met["closed", "recorded"] > 0
         assert met["stuck"] and not met["stuck", "recorded"]
@@ -1066,7 +1166,7 @@ class TestGraphLikeClassification:
             assert all(seed_edges(problem))
             frontier = _frontier(problem, m_max, 2048)
             starts = [(key, s, mult) for key, (s, mult) in frontier.items()]
-            paths, found = clusters_module._run_seeds(problem, starts, m_max, 10**6)
+            paths, found = clusters_module._run_seeds(code, "ft", starts, m_max, 10**6)
             census = clusters_module._classify(problem, found, paths, False)
             degeneracy = echelon(code.Q.rows)
             expected = {f: [0] * (m_max + 1) for f in ("distinct", "irreducible", "nonstab")}
