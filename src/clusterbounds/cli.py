@@ -10,7 +10,6 @@ so reruns of the same computation are byte-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -215,10 +214,10 @@ def _cmd_threshold(args) -> int:
         "w": args.w,
         "w_X": args.wx,
         "w_Z": args.wz,
-        # one text per distance constant: float() skips surrounding
-        # whitespace and reads inf in several spellings (CodeParams
+        # one text per distance constant, whatever its spelling: the
+        # parsed float's shortest repr, less a trailing ".0" (CodeParams
         # refuses -inf)
-        "D": "inf" if math.isinf(D) else args.D.strip(),
+        "D": repr(D).removesuffix(".0"),
         **given,
     }
     if args.curve:

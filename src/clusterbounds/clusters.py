@@ -40,6 +40,8 @@ completions, as (key bits, exclusion mask) rows, per syndrome and number
 of entries left, listed behind two cuts the first time it meets them,
 and every finished state is served by one lookup and one AND against its
 key per row; a syndrome with no completion keeps one shared empty tuple.
+A state whose syndrome is zero is served one shared row that adds no
+entry, so the loop over a state's rows is the one place that records.
 The tables pay by reuse: on toric L=4 full at m_max 8 one run serves
 75,848 states from 33,258 syndromes, 7,262 of them with rows.  They grow
 with the search, so each stops growing at the memory cap, and later
@@ -159,6 +161,9 @@ _PAULI_LABEL_INDEX = {lab: i for i, lab in enumerate(_PAULI_LABELS)}
 # entry, so that it runs the two-entry step that a state three short runs
 # after each first entry flipping the lowest bit of its syndrome
 _NO_ENTRY = ((0, 0, 0),)
+# the one row of a state whose syndrome is zero: it adds no entry and
+# excludes nothing, so the state itself is recorded
+_DONE = ((0, 0),)
 
 
 @dataclass(frozen=True)
@@ -474,12 +479,14 @@ def _run_seeds(code, sector: str, starts, m_max: int, cap: int):
     recorded with the start's multiplicity: paths counts the search paths
     through all orderings that reach the start's key.  A start with no
     entries left and a nonzero syndrome has no completion and is dropped.
-    A state with nonzero syndrome and more than three entries left
-    branches.  Any other with entries left is finished from this run's
-    tables (module docstring): complete(s, left) lists the empty key's
-    rows after the reach and tail cuts, the first time s is met with that
-    many entries left, and keeps them while the table holds fewer than
-    cap syndromes."""
+    A state with zero syndrome takes the one row _DONE.  A state with
+    nonzero syndrome and more than three entries left branches.  Any
+    other is finished from this run's tables (module docstring):
+    complete(s, left) lists the empty key's rows after the reach and tail
+    cuts, the first time s is met with that many entries left, and keeps
+    them while the table holds fewer than cap syndromes.  One loop over a
+    state's rows records every completion: it counts the key's paths,
+    stops the run past cap distinct keys and sets the key's class."""
     problem = _build_problem(code, sector)
     branches, closers, pairs, lowest, reach, tails = (
         problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach,
@@ -492,16 +499,6 @@ def _run_seeds(code, sector: str, starts, m_max: int, cap: int):
     entries = (1 << n) - 1
     # tables[left], for 1 <= left <= 3: syndrome -> the rows for key 0
     tables: tuple[dict[int, list], ...] = ({}, {}, {}, {})
-
-    def record(key: int) -> None:
-        k = key & entries
-        m = k.bit_count()
-        paths[m] += mult
-        if k not in found:
-            if len(found) >= cap:
-                raise _cap_error(cap)
-            touched = key >> n
-            found[k] = touched.bit_count() == m if touched else None
 
     def complete(s: int, left: int):
         # the empty key's rows for syndrome s and left entries, kept in
@@ -565,26 +562,25 @@ def _run_seeds(code, sector: str, starts, m_max: int, cap: int):
             ns = s ^ ds
             child = key | bit
             if ns == 0:
-                record(child)
+                rows = _DONE
             elif left > 3:
                 go(child, ns, left, branches[(ns & -ns).bit_length() - 1])
+                continue
             else:
                 rows = tables[left].get(ns)
                 if rows is None:
                     rows = complete(ns, left)
-                # record(child | bits), inlined: almost every finished
-                # state ends here
-                for bits, x in rows:
-                    if not child & x:
-                        done = child | bits
-                        k = done & entries
-                        m = k.bit_count()
-                        paths[m] += mult
-                        if k not in found:
-                            if len(found) >= cap:
-                                raise _cap_error(cap)
-                            touched = done >> n
-                            found[k] = touched.bit_count() == m if touched else None
+            for bits, x in rows:
+                if not child & x:
+                    done = child | bits
+                    k = done & entries
+                    m = k.bit_count()
+                    paths[m] += mult
+                    if k not in found:
+                        if len(found) >= cap:
+                            raise _cap_error(cap)
+                        touched = done >> n
+                        found[k] = touched.bit_count() == m if touched else None
 
     for key, s, mult in starts:
         left = m_max - (key & entries).bit_count()
@@ -662,7 +658,8 @@ def enumerate_clusters(
     the first, so the census does not depend on the worker count or the
     schedule.  The same map then ranks, in N strided parts, the merged
     clusters whose class the search left open (outside the graph-like
-    sectors), so a pooled census does no elimination in the parent.
+    sectors, where it leaves none and the map does not run), so a pooled
+    census does no elimination in the parent.
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
@@ -716,10 +713,13 @@ def enumerate_clusters(
                 found = share
         if len(found) > max_stored:
             raise _cap_error(max_stored)
+        # a graph-like sector's search leaves no class open, and its census
+        # skips the map's round trip
         unranked = [key for key, irreducible in found.items() if irreducible is None]
-        parts = [unranked[i::n] for i in range(n)]
-        for part, ranks in zip(parts, run(_rank, repeat(code), repeat(sector), parts)):
-            found.update(zip(part, ranks))
+        if unranked:
+            parts = [unranked[i::n] for i in range(n)]
+            for part, ranks in zip(parts, run(_rank, repeat(code), repeat(sector), parts)):
+                found.update(zip(part, ranks))
     return _classify(problem, found, paths, keep_clusters)
 
 

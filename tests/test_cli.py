@@ -302,11 +302,26 @@ class TestThreshold:
             assert outputs[1] == outputs[0]
         assert json.loads(outputs[0][0])["config"]["D"] == "inf"
 
-    @pytest.mark.parametrize("D", ["10", " 1e1", "2.50\n"])
-    def test_finite_distance_keeps_its_text(self, capsys, D):
-        argv = ("threshold", "--model", "css", "--w", "4", "--D", D, "--curve", "y:pZ", "--points", "2")
-        assert run(*argv) == 0
-        assert f" D={D.strip()} " in capsys.readouterr().out.splitlines()[1]
+    @pytest.mark.parametrize(
+        "D, text",
+        [
+            pytest.param(D, text, id=D)
+            for D, text in [("10", "10"), (" 1e1", "10"), ("1_0", "10"), ("10.0", "10"),
+                            ("2.50\n", "2.5"), ("1e22", "1e+22")]
+        ],
+    )
+    def test_finite_distance_is_written_canonically(self, tmp_path, capsys, D, text):
+        # every spelling of one finite value gives the output of its
+        # canonical text, byte for byte
+        for task in (("--curve", "y:pZ", "--points", "2"), ("--solve", "y")):
+            outputs = []
+            for spelling in (text, D):
+                out = tmp_path / f"{len(outputs)}.out"
+                argv = ("threshold", "--model", "css", "--w", "4", "--D", spelling, *task)
+                assert run(*argv, "-o", str(out)) == 0
+                outputs.append((out.read_bytes(), capsys.readouterr()))
+            assert outputs[1] == outputs[0]
+        assert json.loads(outputs[0][0])["config"]["D"] == text
 
     @pytest.mark.parametrize("D", ["Infinity", "INF"])
     def test_infinite_distance_constant(self, capsys, D):

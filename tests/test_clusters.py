@@ -276,11 +276,19 @@ class TestParallel:
     def test_worker_counts_agree(self, toric2, toric3):
         # toric L=2 x at m_max 3 has a frontier of its 8 seeds, fewer than
         # the 9 workers asked for
-        for code, m_max, workers in [(toric3, 6, 2), (toric3, 6, 8), (toric2, 3, 9)]:
-            one = enumerate_clusters(code, m_max, sector="x", workers=1, keep_clusters=True)
-            many = enumerate_clusters(code, m_max, sector="x", workers=workers, keep_clusters=True)
-            assert many.same_counts(one), workers
-            assert many.clusters == one.clusters, workers
+        cases = [
+            (toric3, "x", 6, 2),
+            (toric3, "x", 6, 8),
+            (toric2, "x", 3, 9),
+            (ft_extend(toric3, 2, errors="x"), "ft", 6, 2),
+        ]
+        for code, sector, m_max, workers in cases:
+            one = enumerate_clusters(code, m_max, sector=sector, workers=1, keep_clusters=True)
+            many = enumerate_clusters(
+                code, m_max, sector=sector, workers=workers, keep_clusters=True
+            )
+            assert many.same_counts(one), (sector, workers)
+            assert many.clusters == one.clusters, (sector, workers)
 
     def test_one_share_runs_in_process(self, toric3, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -304,6 +312,13 @@ class TestParallel:
         many = enumerate_clusters(toric3, 6, sector="full", workers=2, keep_clusters=True)
         assert many.same_counts(one)
         assert many.clusters == one.clusters
+
+    def test_graph_like_census_runs_no_rank_pass(self, toric3, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a graph-like census ran the rank pass")
+
+        monkeypatch.setattr(clusters_module, "_rank", refuse)
+        assert sum(enumerate_clusters(toric3, 6, sector="x").distinct) == 119
 
     def test_pooled_census_ranks_in_the_workers(self, toric3, monkeypatch):
         # the problem build ranks the checks, so the problem is cached first
