@@ -79,11 +79,14 @@ finishes every state.  It counts each completion below a frontier state
 with that state's multiplicity, and recomputes no syndrome from a key.
 A fixed budget and the memory cap bound the frontier's size.  A census
 deals the frontier's states into one strided share per worker, as (key,
-syndrome, multiplicity) starts, searches each share apart (in process
-when there is one, on a process pool otherwise), and merges the shares'
-path counts and their maps from each distinct cluster's entry bits to
-its class.  A share names its problem by code and sector, which a worker
-reads from the problem cache, so no problem is pickled.
+syndrome, multiplicity) starts, and searches each share apart: in
+process when there is one share or the platform has no os.fork, and
+otherwise in one forked child per share, which inherits the problem and
+its share, so nothing is pickled on the way in.  The children's results
+come back through pipes one share at a time, in share order, and the
+parent merges each share's path counts and its map from each distinct
+cluster's entry bits to its class as it arrives, so it holds the merged
+keys and the one share it is reading.
 
 A census deduplicates recorded keys and classifies each distinct cluster
 as irreducible (it admits no split into two undetectable pieces on
@@ -139,10 +142,9 @@ costs nothing.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import repeat
 from math import comb
 from operator import add, or_, xor
 
@@ -152,8 +154,8 @@ from .gf2 import BitMatrix, echelon, kernel, residue, set_bits, zero_sum_choices
 
 DEFAULT_CLUSTER_CAP = 10**7
 # partial clusters held between the breadth-first and the depth-first
-# search; a pooled census pickles each worker's share of them, and larger
-# frontiers save little search time for their memory
+# search; a pooled census's workers inherit their shares of them, and
+# larger frontiers save little search time for their memory
 _FRONTIER_BUDGET = 2048
 _PAULI_LABELS = "XYZ"
 _PAULI_LABEL_INDEX = {lab: i for i, lab in enumerate(_PAULI_LABELS)}
@@ -463,14 +465,13 @@ def _cap_error(cap: int) -> ResourceCapError:
     return ResourceCapError(f"more than {cap} distinct clusters; raise the memory cap to continue")
 
 
-def _run_seeds(code, sector: str, starts, m_max: int, cap: int):
-    """Depth-first search from (key, syndrome, multiplicity) starts on the
-    problem of (code, sector); returns per-weight path counts and a dict
-    from each distinct recorded cluster's entry bits to its class,
-    raising ResourceCapError once there are more than cap of them.  The
-    class is whether the cluster is irreducible, V = m for the V checks
-    its key's high bits name, in a graph-like sector, and None in any
-    other.
+def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
+    """Depth-first search from (key, syndrome, multiplicity) starts;
+    returns per-weight path counts and a dict from each distinct recorded
+    cluster's entry bits to its class, raising ResourceCapError once
+    there are more than cap of them.  The class is whether the cluster is
+    irreducible, V = m for the V checks its key's high bits name, in a
+    graph-like sector, and None in any other.
 
     Each start is the empty state's one child, placed by an entry whose
     word is its syndrome and whose key bits are its key; that entry's
@@ -487,7 +488,6 @@ def _run_seeds(code, sector: str, starts, m_max: int, cap: int):
     them while the table holds fewer than cap syndromes.  One loop over a
     state's rows records every completion: it counts the key's paths,
     stops the run past cap distinct keys and sets the key's class."""
-    problem = _build_problem(code, sector)
     branches, closers, pairs, lowest, reach, tails = (
         problem.branches, problem.closers, problem.pairs, problem.lowest, problem.reach,
         problem.tails,
@@ -592,11 +592,75 @@ def _run_seeds(code, sector: str, starts, m_max: int, cap: int):
     return paths, found
 
 
-def _rank(code, sector: str, keys: list[int]) -> list[bool]:
+def _rank(problem: _Problem, keys: list[int]) -> list[bool]:
     """Whether each cluster, given by its entry bits, is irreducible: its
     entries' syndrome words have rank m - 1."""
-    syn = _build_problem(code, sector).syn
+    syn = problem.syn
     return [key.bit_count() - len(echelon([syn[e] for e in set_bits(key)])) == 1 for key in keys]
+
+
+def _map(fn, problem: _Problem, parts: list, *args):
+    """Yield fn(problem, part, *args) for each part, in order.
+
+    One part, or a platform without os.fork, runs in process.  Otherwise
+    each part runs in its own forked child, which inherits the problem
+    and its part, so nothing is pickled on the way in.  A child sends
+    (True, result) or (False, exception) back through a pipe with pickle
+    and always ends by os._exit, even when pickling fails.  The parent
+    reads the pipes in part order, one result at a time; it re-raises a
+    child's exception, raises ClusterBoundsError for a child that ends
+    without a result, kills the children left on any error or early
+    close, and reaps every child before it returns or raises.  Like any
+    fork, it expects a caller that runs no other threads."""
+    fork = getattr(os, "fork", None)
+    if len(parts) < 2 or fork is None:
+        for part in parts:
+            yield fn(problem, part, *args)
+        return
+    # only pooled runs pay for loading these
+    import pickle
+    import signal
+
+    children = []
+    try:
+        for part in parts:
+            read, write = os.pipe()
+            pid = fork()
+            if not pid:
+                # the child never returns into its caller's code
+                try:
+                    try:
+                        reply = (True, fn(problem, part, *args))
+                    except Exception as exc:
+                        reply = (False, exc)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(reply, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        # the children hold the parts; the parent reads without them
+        del parts, part
+        for pid, pipe in children:
+            with pipe:
+                try:
+                    ok, result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ClusterBoundsError(
+                        f"census worker {pid} ended without a result"
+                    ) from None
+            if not ok:
+                raise result
+            yield result
+    except BaseException:
+        # an unreaped child's pid is not reused, so the kill reaches it
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def _census(distinct, irred, nonstab, paths, kept) -> ClusterCensus:
@@ -650,16 +714,20 @@ def enumerate_clusters(
     search levels are grown breadth-first into a frontier of distinct
     partial clusters, each searched once.  Frontier key i goes to share
     i mod N, for N = min(workers, frontier size), and one map runs the
-    depth-first search on every share: the built-in map for one share,
-    a pool of N worker processes for more.  A share carries (code,
-    sector): a forked worker finds the problem in the _build_problem
-    cache it inherited, and any other builds it once.  The shares' path
-    counts are summed and their dicts of distinct clusters merged into
-    the first, so the census does not depend on the worker count or the
-    schedule.  The same map then ranks, in N strided parts, the merged
-    clusters whose class the search left open (outside the graph-like
-    sectors, where it leaves none and the map does not run), so a pooled
-    census does no elimination in the parent.
+    depth-first search on every share: in process for one share, or
+    where the platform has no os.fork, and otherwise in N forked
+    children, each of which inherits the problem and its share, so
+    nothing is pickled on the way in.  Each child's result streams back
+    through a pipe, and the parent reads them in share order: it sums the
+    path counts and merges each share's dict of distinct clusters into
+    the first as it arrives, so it holds the merged keys plus the one
+    share it is reading, and the census does not depend on the worker
+    count or the schedule.  The same map then ranks, in N strided parts,
+    the merged clusters whose class the search left open (outside the
+    graph-like sectors, where it leaves none and the map does not run),
+    so a pooled census does no elimination in the parent.  A worker's
+    error is raised again in the parent, a worker that ends without a
+    result raises ClusterBoundsError, and no worker outlives the call.
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
@@ -689,37 +757,33 @@ def enumerate_clusters(
     limit = min(_FRONTIER_BUDGET, max_stored)
     starts = [(key, s, mult) for key, (s, mult) in _frontier(problem, m_max, limit).items()]
     n = min(workers, len(starts))
-    pool, run = nullcontext(), map
-    if n > 1:
-        # only pooled runs pay for loading the process machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(n)
-        run = pool.map
+    searches = _map(_run_seeds, problem, [starts[i::n] for i in range(n)], m_max, max_stored)
+    # only the map holds the shares, and a pooled map drops them before
+    # the merge, where the parent's memory peaks
+    del starts
     paths, found = [0] * (m_max + 1), {}
-    with pool:
-        shares = [starts[i::n] for i in range(n)]
-        results = run(
-            _run_seeds, repeat(code), repeat(sector), shares, repeat(m_max), repeat(max_stored)
-        )
-        # each share is freed once its run is done; dropping the frontier
-        # keeps it out of the merge, where the parent's memory peaks
-        del starts, shares
-        for share_paths, share in results:
+    try:
+        for share_paths, share in searches:
             paths = [*map(add, paths, share_paths)]
             if found:
                 found.update(share)
             else:
                 found = share
-        if len(found) > max_stored:
-            raise _cap_error(max_stored)
-        # a graph-like sector's search leaves no class open, and its census
-        # skips the map's round trip
-        unranked = [key for key, irreducible in found.items() if irreducible is None]
-        if unranked:
-            parts = [unranked[i::n] for i in range(n)]
-            for part, ranks in zip(parts, run(_rank, repeat(code), repeat(sector), parts)):
-                found.update(zip(part, ranks))
+    finally:
+        searches.close()
+    if len(found) > max_stored:
+        raise _cap_error(max_stored)
+    # a graph-like sector's search leaves no class open, and its census
+    # skips the map's round trip
+    unranked = [key for key, irreducible in found.items() if irreducible is None]
+    if unranked:
+        parts = [unranked[i::n] for i in range(n)]
+        ranks = _map(_rank, problem, parts)
+        try:
+            for part, part_ranks in zip(parts, ranks):
+                found.update(zip(part, part_ranks))
+        finally:
+            ranks.close()
     return _classify(problem, found, paths, keep_clusters)
 
 

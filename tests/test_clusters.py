@@ -1,7 +1,9 @@
-import concurrent.futures
 import itertools
+import os
 import random
+import subprocess
 import sys
+import time
 from collections import Counter
 from functools import partial, reduce
 from operator import or_, xor
@@ -291,16 +293,73 @@ class TestParallel:
             assert many.clusters == one.clusters, (sector, workers)
 
     def test_one_share_runs_in_process(self, toric3, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a census of one share started a process pool")
+        def no_fork():
+            raise AssertionError("a census of one share forked a worker")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert sum(enumerate_clusters(toric3, 6, sector="x", workers=1).distinct) == 119
         # a one-qubit code's x sector has one entry, so its frontier holds
         # one key whatever the worker count
         one_qubit = new_css(BitMatrix((1,), 1), BitMatrix((), 1))
         census = enumerate_clusters(one_qubit, 3, sector="x", workers=4)
         assert census.distinct == census.paths == (0, 1, 0, 0)
+
+    def test_no_child_outlives_a_census(self, toric3, monkeypatch):
+        def no_child_left():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+        assert sum(enumerate_clusters(toric3, 6, sector="full", workers=2).distinct) == 460
+        no_child_left()
+        # 10 stops a share inside its worker, and 459 stops the merge in
+        # the parent; the error reads as on one worker either way
+        for cap in (10, 459):
+            with pytest.raises(ResourceCapError) as one:
+                enumerate_clusters(toric3, 6, sector="full", max_stored=cap)
+            with pytest.raises(ResourceCapError) as pooled:
+                enumerate_clusters(toric3, 6, sector="full", workers=2, max_stored=cap)
+            assert str(pooled.value) == str(one.value)
+            no_child_left()
+        # the first share's worker dies without a result while the others
+        # still run: the parent kills and reaps them
+        problem = _build_problem(toric3, "full")
+        first = next(iter(_frontier(problem, 6, 2048)))
+
+        def die(problem, starts, m_max, cap):
+            if starts[0][0] == first:
+                os._exit(3)
+            time.sleep(60)
+
+        monkeypatch.setattr(clusters_module, "_run_seeds", die)
+        start = time.monotonic()
+        with pytest.raises(ClusterBoundsError, match="without a result") as lost:
+            enumerate_clusters(toric3, 6, sector="full", workers=3)
+        assert type(lost.value) is ClusterBoundsError
+        assert time.monotonic() - start < 30
+        no_child_left()
+
+    def test_census_without_fork_runs_in_process(self, toric3, monkeypatch):
+        one = enumerate_clusters(toric3, 6, sector="full", keep_clusters=True)
+        monkeypatch.delattr(os, "fork")
+        many = enumerate_clusters(toric3, 6, sector="full", workers=2, keep_clusters=True)
+        assert many.same_counts(one)
+        assert many.clusters == one.clusters
+
+    def test_pooled_census_loads_no_process_pool(self):
+        script = (
+            "import sys\n"
+            "from clusterbounds import enumerate_clusters, toric_code\n"
+            "census = enumerate_clusters(toric_code(3), 6, sector='full', workers=2)\n"
+            "print(sum(census.distinct))\n"
+            "print(*(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [*sys.path, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "460\n\n"
 
     def test_pooled_shares_do_not_pickle_the_problem(self, toric3, monkeypatch):
         one = enumerate_clusters(toric3, 6, sector="full", keep_clusters=True)
@@ -1003,7 +1062,7 @@ def ordered_completions(problem, s, taken, left):
     return out
 
 
-def traced_fills(code, sector, starts, m_max, cap):
+def traced_fills(problem, starts, m_max, cap):
     """_run_seeds's result, and each call of its table routine complete(s,
     left) as (s, left, the rows it returned, the size of tables[left]
     after it), read by a trace function."""
@@ -1028,7 +1087,7 @@ def traced_fills(code, sector, starts, m_max, cap):
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        result = clusters_module._run_seeds(code, sector, starts, m_max, cap)
+        result = clusters_module._run_seeds(problem, starts, m_max, cap)
     finally:
         sys.settrace(previous)
     return result, fills
@@ -1095,9 +1154,7 @@ class TestCompletionTables:
                 key = reduce(or_, (seeds[e][1] for e in entries))
                 s = syndrome_of(split_key(problem, key), syn)
                 depth, left = len(entries), rng.randint(0, 5)
-                (paths, found), fills = traced_fills(
-                    code, sector, [(key, s, 1)], depth + left, 10**6
-                )
+                (paths, found), fills = traced_fills(problem, [(key, s, 1)], depth + left, 10**6)
                 taken = {e // width for e in entries}
                 completions = ordered_completions(problem, s, taken, left)
                 expected = [0] * (depth + left + 1)
@@ -1127,7 +1184,7 @@ class TestCompletionTables:
                 # that many syndromes per table, and its counts
                 cap = max(1, len(found))
                 (capped_paths, capped), capped_fills = traced_fills(
-                    code, sector, [(key, s, 1)], depth + left, cap
+                    problem, [(key, s, 1)], depth + left, cap
                 )
                 assert capped_paths == paths and capped == found
                 assert all(size <= cap for _, _, _, size in capped_fills)
@@ -1181,7 +1238,7 @@ class TestGraphLikeClassification:
             assert all(seed_edges(problem))
             frontier = _frontier(problem, m_max, 2048)
             starts = [(key, s, mult) for key, (s, mult) in frontier.items()]
-            paths, found = clusters_module._run_seeds(code, "ft", starts, m_max, 10**6)
+            paths, found = clusters_module._run_seeds(problem, starts, m_max, 10**6)
             census = clusters_module._classify(problem, found, paths, False)
             degeneracy = echelon(code.Q.rows)
             expected = {f: [0] * (m_max + 1) for f in ("distinct", "irreducible", "nonstab")}
