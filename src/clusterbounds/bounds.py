@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from math import comb, fsum, inf, sqrt
 
-from .errors import ValidationError
+from .errors import ValidationError, check_at_least_one
 
 MODELS = ("stabilizer", "css", "ft-stabilizer", "ft-css")
 
@@ -63,10 +63,7 @@ class CodeParams:
     D: float = inf
 
     def __post_init__(self) -> None:
-        for name in ("w", "w_X", "w_Z"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValidationError(f"{name} must be at least 1, got {value}")
+        check_at_least_one(w=self.w, w_X=self.w_X, w_Z=self.w_Z)
         if not self.D > 0:  # NaN fails this too
             raise ValidationError(f"D must be positive (or inf), got {self.D}")
 
@@ -232,7 +229,9 @@ def threshold_curve(
 
 def erasure_tail_bound(n: int, w: int, d: int, y: float) -> float:
     """Closed form of the erasure failure series: the cluster-count
-    ceiling times y^m summed over m >= d.  Requires 2y(w-1) < 1."""
+    ceiling times y^m summed over m >= d.  Requires n, w and d of at
+    least 1 and 2y(w-1) < 1."""
+    check_at_least_one(n=n, w=w, d=d)
     _check_unit("y", y)
     ratio = 2.0 * y * (w - 1)
     if ratio >= 1.0:
@@ -316,8 +315,7 @@ def exact_bad_probability_css(m: int, y: float, p: float) -> float:
     positions is bad when (2b + a - m) * ln((1-p)/p) >= 0 (ties count
     as bad).  Always at most effective_erasure_css(y, p)**m.
     """
-    if m < 1:
-        raise ValidationError("m must be at least 1")
+    check_at_least_one(m=m)
     y, p = _check_unit("y", y), _check_unit("p", p)
     return _bad_sum(y, (m, p, 0.0, 1.0 - p, p, 1))
 
@@ -330,8 +328,7 @@ def exact_bad_probability_depol(m: int, y: float, p: float) -> float:
     (2b' + b'' + a - m) * ln(3(1-p)/p) >= 0.  Always at most
     effective_erasure(y, p)**m.
     """
-    if m < 1:
-        raise ValidationError("m must be at least 1")
+    check_at_least_one(m=m)
     y, p = _check_unit("y", y), _check_unit("p", p)
     return _bad_sum(y, (m, p / 3.0, 2.0 * p / 3.0, 1.0 - p, p, 3))
 
@@ -346,8 +343,7 @@ def exact_bad_probability_ft(m: int, m_q: int, p: float, q: float) -> float:
     the log-ratios as their limits at rates 0 and 1.  Always at most
     2^m * (p(1-p))^(m_q/2) * (q(1-q))^((m-m_q)/2).
     """
-    if m < 1:
-        raise ValidationError("m must be at least 1")
+    check_at_least_one(m=m)
     if not 0 <= m_q <= m:
         raise ValidationError("need 0 <= m_q <= m")
     p, q = _check_unit("p", p), _check_unit("q", q)
@@ -369,7 +365,9 @@ def bad_probability_bound_ft(m: int, m_q: int, p: float, q: float) -> float:
 def ft_total_bad_bound(n: int, w: int, d: int, p: float, q: float) -> float:
     """Total bad-error bound for the space-time CSS analysis: the
     geometric series n * sum_{m >= d} base^m with
-    base = 4 sqrt(q(1-q)) + 2w sqrt(p(1-p))."""
+    base = 4 sqrt(q(1-q)) + 2w sqrt(p(1-p)); n, w and d must be at
+    least 1."""
+    check_at_least_one(n=n, w=w, d=d)
     _check_unit("p", p)
     _check_unit("q", q)
     base = 4.0 * sqrt(q * (1.0 - q)) + 2.0 * w * sqrt(p * (1.0 - p))

@@ -322,7 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sector", default="full", choices=["full", "x", "z", "ft-x", "ft-z"])
     c.add_argument("--rounds", type=int, help="measurement rounds for ft-* sectors")
     c.add_argument("--m-max", type=int, required=True, dest="m_max")
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="forks min(N, frontier size) census workers at once; output does not depend on N",
+    )
     c.add_argument(
         "--max-stored",
         type=int,

@@ -103,9 +103,9 @@ included.  The repair rule places every entry on a check that an earlier
 entry left violated, so a recorded cluster is connected, and it is
 irreducible exactly when V = m.  The key's bits above its entries are
 the V checks, so the search classifies each cluster when it first
-records it.  In every other sector the census takes the rank from
-gf2.echelon after the search, on the map that ran it, in one strided
-part of the merged clusters per share.  A cluster's word is the XOR of
+records it.  In every other sector the search leaves the class open,
+and the parent takes the rank from gf2.echelon in the one loop that
+counts the merged clusters.  A cluster's word is the XOR of
 one word per entry, (v|u) for a Pauli label and the column bit for a
 binary entry.  An undetectable word lies in the degeneracy group exactly when
 it meets every vector of the degeneracy rows' kernel evenly, and the
@@ -149,7 +149,7 @@ from math import comb
 from operator import add, or_, xor
 
 from .codes import CssCode, FtCode, PauliOp, StabilizerCode
-from .errors import ClusterBoundsError, ResourceCapError, ValidationError
+from .errors import ClusterBoundsError, ResourceCapError, ValidationError, check_at_least_one
 from .gf2 import BitMatrix, echelon, kernel, residue, set_bits, zero_sum_choices, zero_sum_work
 
 DEFAULT_CLUSTER_CAP = 10**7
@@ -471,7 +471,8 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     cluster's entry bits to its class, raising ResourceCapError once
     there are more than cap of them.  The class is whether the cluster is
     irreducible, V = m for the V checks its key's high bits name, in a
-    graph-like sector, and None in any other.
+    graph-like sector, and None in any other, where _classify ranks the
+    cluster after the merge.
 
     Each start is the empty state's one child, placed by an entry whose
     word is its syndrome and whose key bits are its key; that entry's
@@ -592,13 +593,6 @@ def _run_seeds(problem: _Problem, starts, m_max: int, cap: int):
     return paths, found
 
 
-def _rank(problem: _Problem, keys: list[int]) -> list[bool]:
-    """Whether each cluster, given by its entry bits, is irreducible: its
-    entries' syndrome words have rank m - 1."""
-    syn = problem.syn
-    return [key.bit_count() - len(echelon([syn[e] for e in set_bits(key)])) == 1 for key in keys]
-
-
 def _map(fn, problem: _Problem, parts: list, *args):
     """Yield fn(problem, part, *args) for each part, in order.
 
@@ -609,9 +603,11 @@ def _map(fn, problem: _Problem, parts: list, *args):
     and always ends by os._exit, even when pickling fails.  The parent
     reads the pipes in part order, one result at a time; it re-raises a
     child's exception, raises ClusterBoundsError for a child that ends
-    without a result, kills the children left on any error or early
-    close, and reaps every child before it returns or raises.  Like any
-    fork, it expects a caller that runs no other threads."""
+    without a result, and closes the pipe and raises ResourceCapError
+    for a child that cannot be forked.  It kills the children left on
+    any error or early close, and reaps every child before it returns or
+    raises.  Like any fork, it expects a caller that runs no other
+    threads."""
     fork = getattr(os, "fork", None)
     if len(parts) < 2 or fork is None:
         for part in parts:
@@ -625,7 +621,14 @@ def _map(fn, problem: _Problem, parts: list, *args):
     try:
         for part in parts:
             read, write = os.pipe()
-            pid = fork()
+            try:
+                pid = fork()
+            except OSError as exc:
+                os.close(read)
+                os.close(write)
+                raise ResourceCapError(
+                    f"census worker {len(children) + 1} of {len(parts)} could not start: {exc}"
+                ) from exc
             if not pid:
                 # the child never returns into its caller's code
                 try:
@@ -684,10 +687,12 @@ def _classify(problem: _Problem, found: dict, paths: list[int], keep: bool) -> C
     irred = [0] * (m_max + 1)
     nonstab = [0] * (m_max + 1)
     kept: list[list[Cluster]] | None = [[] for _ in range(m_max + 1)] if keep else None
-    parities = problem.parities
+    syn, parities = problem.syn, problem.parities
     for key, irreducible in found.items():
         m = key.bit_count()
         distinct[m] += 1
+        if irreducible is None:
+            irreducible = m - len(echelon([syn[e] for e in set_bits(key)])) == 1
         if irreducible:
             irred[m] += 1
             for p in parities:
@@ -722,12 +727,12 @@ def enumerate_clusters(
     path counts and merges each share's dict of distinct clusters into
     the first as it arrives, so it holds the merged keys plus the one
     share it is reading, and the census does not depend on the worker
-    count or the schedule.  The same map then ranks, in N strided parts,
-    the merged clusters whose class the search left open (outside the
-    graph-like sectors, where it leaves none and the map does not run),
-    so a pooled census does no elimination in the parent.  A worker's
+    count or the schedule.  The parent then counts the merged clusters in
+    one loop, which ranks each cluster whose class the search left open
+    (outside the graph-like sectors) as is_irreducible does.  A worker's
     error is raised again in the parent, a worker that ends without a
-    result raises ClusterBoundsError, and no worker outlives the call.
+    result raises ClusterBoundsError, a worker that cannot be forked
+    raises ResourceCapError, and no worker outlives the call.
 
     max_stored caps the census's distinct clusters: the run raises
     ResourceCapError exactly when there are more, whatever the worker
@@ -751,8 +756,7 @@ def enumerate_clusters(
         raise ValidationError("m_max must be at least 1")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
-    if max_stored < 1:
-        raise ValidationError(f"max_stored must be at least 1, got {max_stored}")
+    check_at_least_one(max_stored=max_stored)
     problem = _build_problem(code, sector)
     limit = min(_FRONTIER_BUDGET, max_stored)
     starts = [(key, s, mult) for key, (s, mult) in _frontier(problem, m_max, limit).items()]
@@ -773,17 +777,6 @@ def enumerate_clusters(
         searches.close()
     if len(found) > max_stored:
         raise _cap_error(max_stored)
-    # a graph-like sector's search leaves no class open, and its census
-    # skips the map's round trip
-    unranked = [key for key, irreducible in found.items() if irreducible is None]
-    if unranked:
-        parts = [unranked[i::n] for i in range(n)]
-        ranks = _map(_rank, problem, parts)
-        try:
-            for part, part_ranks in zip(parts, ranks):
-                found.update(zip(part, part_ranks))
-        finally:
-            ranks.close()
     return _classify(problem, found, paths, keep_clusters)
 
 
@@ -961,16 +954,14 @@ def brute_force_census(
 def cluster_count_bound(n: int, w: int, m: int) -> int:
     """Recursion-path ceiling for full-Pauli enumeration: 3n seeds and at
     most 2(w-1) continuations per repair step."""
-    if m < 1:
-        raise ValidationError("m must be at least 1")
+    check_at_least_one(m=m)
     return 3 * n * (2 * (w - 1)) ** (m - 1)
 
 
 def cluster_count_bound_css(n: int, w_opposite: int, m: int) -> int:
     """Single-sector ceiling: n seeds and w-1 continuations, where w is
     the opposite-type generator weight."""
-    if m < 1:
-        raise ValidationError("m must be at least 1")
+    check_at_least_one(m=m)
     return n * (w_opposite - 1) ** (m - 1)
 
 
@@ -981,8 +972,7 @@ def cluster_count_bound_ft(n: int, r: int, w: int, m: int, m_q: int) -> int:
     cluster_count_bound_ft_total; it is 0 at m_q = m, so it does not
     bound clusters by qubit entries (toric L=2 over 2 rounds has 38
     all-qubit clusters of weight 4)."""
-    if m < 1:
-        raise ValidationError("m must be at least 1")
+    check_at_least_one(m=m)
     if not 0 <= m_q <= m:
         raise ValidationError("need 0 <= m_q <= m")
     c = comb(m - 1, m_q)
@@ -993,8 +983,7 @@ def cluster_count_bound_ft(n: int, r: int, w: int, m: int, m_q: int) -> int:
 
 def cluster_count_bound_ft_total(n: int, r: int, w: int, m: int) -> int:
     """Sum of the space-time ceiling over the qubit/syndrome split."""
-    if m < 1:
-        raise ValidationError("m must be at least 1")
+    check_at_least_one(m=m)
     return (3 * n + r) * (w + 2) ** (m - 1)
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that
+raises one."""
 
 
 class ClusterBoundsError(Exception):
@@ -19,3 +20,10 @@ class CommutativityError(ValidationError):
 
 class ResourceCapError(ClusterBoundsError):
     """A configured memory or work budget would be exceeded."""
+
+
+def check_at_least_one(**sizes: int | None) -> None:
+    """Refuse any given size below 1 with ValidationError."""
+    for name, value in sizes.items():
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be at least 1, got {value}")

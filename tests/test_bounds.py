@@ -385,6 +385,27 @@ class TestFtTotalBound:
             ft_total_bad_bound(10, 4, 3, 0.3, 0.3)
 
 
+@pytest.mark.parametrize(
+    "series, rates",
+    [
+        (erasure_tail_bound, (0.1,)),
+        (erasure_tail_bound, (0.0,)),
+        (ft_total_bad_bound, (0.1, 0.0)),
+        (ft_total_bad_bound, (0.0, 0.0)),
+    ],
+    ids=["erasure", "erasure-noiseless", "ft", "ft-noiseless"],
+)
+@pytest.mark.parametrize(
+    "name, sizes",
+    [("n", (0, 4, 2)), ("w", (10, 0, 2)), ("w", (10, -2, 3)), ("d", (10, 4, 0)), ("d", (10, 4, -1))],
+    ids=["n=0", "w=0", "w=-2", "d=0", "d=-1"],
+)
+def test_series_reject_sizes_below_one(series, rates, name, sizes):
+    # unchecked, these divide by zero or return negative probabilities
+    with pytest.raises(ValidationError, match=f"{name} must be at least 1"):
+        series(*sizes, *rates)
+
+
 class TestChannelValidation:
     def test_rates_within_unit_interval(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import os
 import random
@@ -39,6 +40,7 @@ from clusterbounds import (
     toric_code,
 )
 import clusterbounds.clusters as clusters_module
+from clusterbounds.cli import main
 from clusterbounds.clusters import _build_problem, _frontier, _problem
 from clusterbounds.codes import CssCode, FtCode
 from clusterbounds.gf2 import BitMatrix, BitVector, echelon, residue, set_bits
@@ -274,15 +276,36 @@ class TestEnumerate:
                 enumerate_clusters(toric2, 3, sector=sector)
 
 
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def spy_on_echelon(monkeypatch) -> list:
+    """Record every call of the census's gf2.echelon in this process."""
+    calls = []
+    rank = clusters_module.echelon
+
+    def spy(words):
+        calls.append(words)
+        return rank(words)
+
+    monkeypatch.setattr(clusters_module, "echelon", spy)
+    return calls
+
+
 class TestParallel:
     def test_worker_counts_agree(self, toric2, toric3):
         # toric L=2 x at m_max 3 has a frontier of its 8 seeds, fewer than
-        # the 9 workers asked for
+        # the 9 workers asked for; the full sectors leave every class to
+        # the parent's rank
         cases = [
             (toric3, "x", 6, 2),
             (toric3, "x", 6, 8),
             (toric2, "x", 3, 9),
             (ft_extend(toric3, 2, errors="x"), "ft", 6, 2),
+            (toric3, "full", 6, 3),
+            (five_qubit_code(True), "full", 5, 2),
         ]
         for code, sector, m_max, workers in cases:
             one = enumerate_clusters(code, m_max, sector=sector, workers=1, keep_clusters=True)
@@ -305,10 +328,6 @@ class TestParallel:
         assert census.distinct == census.paths == (0, 1, 0, 0)
 
     def test_no_child_outlives_a_census(self, toric3, monkeypatch):
-        def no_child_left():
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-
         assert sum(enumerate_clusters(toric3, 6, sector="full", workers=2).distinct) == 460
         no_child_left()
         # 10 stops a share inside its worker, and 459 stops the merge in
@@ -373,30 +392,54 @@ class TestParallel:
         assert many.clusters == one.clusters
 
     def test_graph_like_census_runs_no_rank_pass(self, toric3, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a graph-like census ran the rank pass")
-
-        monkeypatch.setattr(clusters_module, "_rank", refuse)
-        assert sum(enumerate_clusters(toric3, 6, sector="x").distinct) == 119
-
-    def test_pooled_census_ranks_in_the_workers(self, toric3, monkeypatch):
-        # the problem build ranks the checks, so the problem is cached first
-        _build_problem(toric3, "full")
-        calls = []
-        rank = clusters_module.echelon
-
-        def spy(words):
-            calls.append(words)
-            return rank(words)
-
-        # a worker's calls reach its own copy of the spy
-        monkeypatch.setattr(clusters_module, "echelon", spy)
-        pooled = enumerate_clusters(toric3, 6, sector="full", workers=2)
+        ft = ft_extend(toric3, 2, errors="x")
+        # the problem build ranks the checks, so the problems are cached first
+        for code, sector in ((toric3, "x"), (ft, "ft")):
+            _build_problem(code, sector)
+        calls = spy_on_echelon(monkeypatch)
+        for workers in (1, 2):
+            assert sum(enumerate_clusters(toric3, 6, sector="x", workers=workers).distinct) == 119
+            enumerate_clusters(ft, 6, sector="ft", workers=workers)
         assert not calls
-        # one share is ranked in process, where the spy sees it
+
+    def test_pooled_census_ranks_in_the_parent(self, toric3, monkeypatch):
+        _build_problem(toric3, "full")
+        calls = spy_on_echelon(monkeypatch)
         one = enumerate_clusters(toric3, 6, sector="full")
-        assert len(calls) == sum(one.distinct)
+        assert len(calls) == sum(one.distinct) == 460
+        # a forked worker would record into its own copy of the list, so
+        # every call seen here is the parent's
+        calls.clear()
+        pooled = enumerate_clusters(toric3, 6, sector="full", workers=2)
+        assert len(calls) == 460
         assert pooled.same_counts(one)
+
+    def test_a_worker_that_cannot_start_fails_cleanly(self, toric3, monkeypatch, capsys):
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        fds = "/proc/self/fd"
+        before = sorted(os.listdir(fds)) if os.path.isdir(fds) else None
+        with pytest.raises(ResourceCapError, match="worker 2 of 3 could not start") as capped:
+            enumerate_clusters(toric3, 6, sector="full", workers=3)
+        assert isinstance(capped.value.__cause__, BlockingIOError)
+        if before is not None:
+            assert sorted(os.listdir(fds)) == before
+        no_child_left()
+        forks.clear()
+        argv = ["census", "toric", "--L", "3", "--sector", "full", "--m-max", "6", "--workers", "2"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: census worker 2 of 2 could not start")
+        assert err.count("\n") == 1
+        no_child_left()
 
 
 # codes whose census must not depend on how far the frontier is grown
