@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from . import __version__
 from .bounds import (
@@ -305,7 +306,11 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by
+    every call of main.  Parsing leaves it as it was, so calls do not
+    see each other's flags; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="clusterbounds",
         description="Cluster censuses and threshold bounds for weight-limited quantum codes",
@@ -385,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

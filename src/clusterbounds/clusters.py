@@ -119,9 +119,10 @@ its entries' words do, so each vector is kept as the key mask of those
 entries, its product by gf2's BitMatrix @ with the entries' words (in a
 binary sector the vector itself), and every sector tests a cluster by
 the parity of its key under each mask.  is_irreducible keeps the
-rank by gf2.echelon, decompose splits along gf2.kernel vectors, and the
-brute-force census tests subsets and the residue by the degeneracy rows'
-echelon basis, so each checks the census's rules independently.
+rank by gf2.echelon, decompose ranks each piece the same way and splits
+only a reducible one, along a gf2.kernel vector, and the brute-force
+census tests subsets and the residue by the degeneracy rows' echelon
+basis, so each checks the census's rules independently.
 
 The brute-force census reproduces all four per-weight counts
 independently: the zero-sum scanner gf2.zero_sum_choices, which also
@@ -145,6 +146,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from itertools import repeat
 from math import comb
 from operator import add, or_, xor
 
@@ -172,15 +174,18 @@ _DONE = ((0, 0),)
 class Cluster:
     """One undetectable error configuration.
 
-    positions are distinct column indices in ascending order; paulis
-    gives the single-qubit label per position for full-Pauli clusters
-    and is None for binary (single-sector or space-time) clusters.
+    positions are distinct integer column indices in ascending order;
+    paulis gives the single-qubit label per position for full-Pauli
+    clusters and is None for binary (single-sector or space-time)
+    clusters.
     """
 
     positions: tuple[int, ...]
     paulis: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not all(map(isinstance, self.positions, repeat(int))):
+            raise ValidationError("cluster positions must be integers")
         if len(set(self.positions)) != len(self.positions):
             raise ValidationError("cluster positions must be distinct")
         if tuple(sorted(self.positions)) != self.positions:
@@ -288,18 +293,20 @@ class _Problem:
 
     def entries_of_cluster(self, cluster: Cluster) -> tuple[int, ...]:
         n = len(self.syn) // self.width
-        if not all(0 <= j < n for j in cluster.positions):
+        # positions are sorted, distinct integers, so the ends bound them
+        positions = cluster.positions
+        if positions and not (0 <= positions[0] and positions[-1] < n):
             raise ValidationError(f"cluster positions must lie in 0..{n - 1}")
         if self.width == 1:
             if cluster.paulis is not None:
                 raise ValidationError("binary sector expects clusters without Pauli labels")
-            return cluster.positions
+            return positions
         if cluster.paulis is None:
             raise ValidationError("full-Pauli sector expects labelled clusters")
         labels = [_PAULI_LABEL_INDEX.get(str(ch).upper()) for ch in cluster.paulis]
         if None in labels:
             raise ValidationError(f"Pauli labels must be X, Y or Z, got {cluster.paulis}")
-        return tuple(3 * j + lab for j, lab in zip(cluster.positions, labels))
+        return tuple(3 * j + lab for j, lab in zip(positions, labels))
 
     def in_degeneracy(self, entries) -> bool:
         """Whether the XOR of the entries' words lies in the degeneracy group."""
@@ -603,11 +610,11 @@ def _map(fn, problem: _Problem, parts: list, *args):
     and always ends by os._exit, even when pickling fails.  The parent
     reads the pipes in part order, one result at a time; it re-raises a
     child's exception, raises ClusterBoundsError for a child that ends
-    without a result, and closes the pipe and raises ResourceCapError
-    for a child that cannot be forked.  It kills the children left on
-    any error or early close, and reaps every child before it returns or
-    raises.  Like any fork, it expects a caller that runs no other
-    threads."""
+    without a result, and raises ResourceCapError for a child whose pipe
+    cannot open or that cannot be forked, closing that child's pipe.  It
+    kills the children left on any error or early close, and reaps every
+    child before it returns or raises.  Like any fork, it expects a
+    caller that runs no other threads."""
     fork = getattr(os, "fork", None)
     if len(parts) < 2 or fork is None:
         for part in parts:
@@ -620,12 +627,15 @@ def _map(fn, problem: _Problem, parts: list, *args):
     children = []
     try:
         for part in parts:
-            read, write = os.pipe()
             try:
-                pid = fork()
+                read, write = os.pipe()
+                try:
+                    pid = fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
             except OSError as exc:
-                os.close(read)
-                os.close(write)
                 raise ResourceCapError(
                     f"census worker {len(children) + 1} of {len(parts)} could not start: {exc}"
                 ) from exc
@@ -820,15 +830,21 @@ def is_irreducible_bruteforce(code, cluster: Cluster, sector: str = "full") -> b
 
 def decompose(code, cluster: Cluster, sector: str = "full") -> tuple[Cluster, ...]:
     """Split an undetectable cluster into irreducible pieces on disjoint
-    supports (the pieces multiply back to the cluster)."""
+    supports (the pieces multiply back to the cluster).
+
+    Each piece is ranked first, by is_irreducible's rule, and kept when
+    it is irreducible.  A reducible piece is split along the first of
+    its gf2.kernel vectors other than all-ones, into that vector's
+    entries and the rest, and each side is split in turn."""
     problem, entries, cols = _columns(code, cluster, sector)
 
     def split(entry_idx: list[int]) -> list[list[int]]:
-        m = len(entry_idx)
-        full = (1 << m) - 1
-        x = next((x for x in kernel([cols[i] for i in entry_idx]) if x != full), None)
-        if x is None:
+        words = [cols[i] for i in entry_idx]
+        m = len(words)
+        if m - len(echelon(words)) == 1:
             return [entry_idx]
+        full = (1 << m) - 1
+        x = next(x for x in kernel(words) if x != full)
         return split([entry_idx[i] for i in set_bits(x)]) + split(
             [entry_idx[i] for i in set_bits(full ^ x)]
         )

@@ -6,7 +6,10 @@ of every subset of a word list outright, for checking the echelon,
 residue and kernel routines of gf2 and the brute-force census's subset
 table.  orderings_literal walks every permutation of a word list and
 applies the search's repair rule step by step, for checking the
-brute-force census's ordering count.  toric_rows_literal lays out the
+brute-force census's ordering count.  kernel_split_literal splits a
+cluster's words along a gf2.kernel vector of every piece, irreducible
+ones too, for checking that decompose's rank-first split gives the same
+pieces in the same order.  toric_rows_literal lays out the
 toric code's plaquette and site rows bond by bond, for checking that the
 hypergraph-product construction keeps the lattice's check order.
 cubic_polygons counts the simple cubic lattice's self-avoiding polygons
@@ -41,7 +44,7 @@ from functools import lru_cache
 from math import lcm
 
 from clusterbounds.errors import ValidationError
-from clusterbounds.gf2 import BitMatrix, echelon, hstack
+from clusterbounds.gf2 import BitMatrix, echelon, hstack, kernel
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +302,25 @@ def subset_xors(words) -> dict[int, list[int]]:
                 acc ^= w
         out.setdefault(acc, []).append(mask)
     return out
+
+
+def kernel_split_literal(words) -> list[list[int]]:
+    """The indices of an undetectable word list, split into irreducible
+    pieces the long way: every piece, irreducible or not, takes its
+    gf2.kernel, and one with a kernel vector other than all-ones is
+    split along the first such vector, into that vector's indices and
+    the rest, each split in turn."""
+
+    def split(idx: list[int]) -> list[list[int]]:
+        full = (1 << len(idx)) - 1
+        for x in kernel([words[i] for i in idx]):
+            if x != full:
+                inside = [i for b, i in enumerate(idx) if (x >> b) & 1]
+                outside = [i for b, i in enumerate(idx) if not (x >> b) & 1]
+                return split(inside) + split(outside)
+        return [idx]
+
+    return split(list(range(len(words))))
 
 
 def orderings_literal(words) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from clusterbounds import (
     threshold_curve,
     toric_code,
 )
-from clusterbounds.cli import main
+from clusterbounds.cli import build_parser, main
 from clusterbounds.matio import read_census_csv, read_matrix, write_csv
 
 
@@ -518,3 +519,49 @@ def test_flags_the_command_reads_are_accepted(argv):
 def test_unset_rates_are_written_as_zero(capsys):
     assert run("badprob", "--kind", "css", "--m-max", "1", "--p", "0.1") == 0
     assert "# config: command=badprob kind=css m_max=1 y=0.0 p=0.1 q=0.0\n" in capsys.readouterr().out
+
+
+class TestOneParserPerProcess:
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert run("build", "toric", "--L", "2") == 0
+        assert run("badprob", "--kind", "css", "--m-max", "1", "--p", "0.1") == 0
+        # the top-level parser and one per subcommand, once
+        assert len(built) == 7
+
+    def test_an_omitted_flag_takes_its_default_after_a_given_one(self, capsys):
+        parser = build_parser()
+        curve = ("threshold", "--model", "css", "--w", "4", "--curve", "y:pZ", "--points", "2")
+        assert run(*curve, "--D", "10") == 0
+        assert " D=10 " in capsys.readouterr().out
+        assert run(*curve) == 0
+        assert " D=inf " in capsys.readouterr().out
+        assert build_parser() is parser
+
+    def test_an_omitted_worker_count_writes_the_same_bytes(self, capsys):
+        parser = build_parser()
+        census = ("census", "toric", "--L", "3", "--sector", "full", "--m-max", "6")
+        outputs = []
+        for workers in (("--workers", "2"), ()):
+            assert run(*census, *workers) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert build_parser() is parser
+
+    def test_a_version_exit_leaves_the_next_call_working(self, capsys):
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exited:
+            run("--version")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("clusterbounds ")
+        assert run("build", "toric", "--L", "3") == 0
+        assert "n=18 k=2 d=3" in capsys.readouterr().out
+        assert build_parser() is parser

@@ -14,7 +14,13 @@ import pytest
 from conftest import make_random_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cubic_polygons, orderings_literal, problem_literal, subset_xors
+from oracles import (
+    cubic_polygons,
+    kernel_split_literal,
+    orderings_literal,
+    problem_literal,
+    subset_xors,
+)
 
 from clusterbounds import (
     Cluster,
@@ -281,16 +287,17 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def spy_on_echelon(monkeypatch) -> list:
-    """Record every call of the census's gf2.echelon in this process."""
+def spy_on(monkeypatch, name: str) -> list:
+    """Record every call of the clusters module's gf2 routine name (echelon
+    or kernel) in this process."""
     calls = []
-    rank = clusters_module.echelon
+    real = getattr(clusters_module, name)
 
     def spy(words):
         calls.append(words)
-        return rank(words)
+        return real(words)
 
-    monkeypatch.setattr(clusters_module, "echelon", spy)
+    monkeypatch.setattr(clusters_module, name, spy)
     return calls
 
 
@@ -396,7 +403,7 @@ class TestParallel:
         # the problem build ranks the checks, so the problems are cached first
         for code, sector in ((toric3, "x"), (ft, "ft")):
             _build_problem(code, sector)
-        calls = spy_on_echelon(monkeypatch)
+        calls = spy_on(monkeypatch, "echelon")
         for workers in (1, 2):
             assert sum(enumerate_clusters(toric3, 6, sector="x", workers=workers).distinct) == 119
             enumerate_clusters(ft, 6, sector="ft", workers=workers)
@@ -404,7 +411,7 @@ class TestParallel:
 
     def test_pooled_census_ranks_in_the_parent(self, toric3, monkeypatch):
         _build_problem(toric3, "full")
-        calls = spy_on_echelon(monkeypatch)
+        calls = spy_on(monkeypatch, "echelon")
         one = enumerate_clusters(toric3, 6, sector="full")
         assert len(calls) == sum(one.distinct) == 460
         # a forked worker would record into its own copy of the list, so
@@ -414,26 +421,27 @@ class TestParallel:
         assert len(calls) == 460
         assert pooled.same_counts(one)
 
-    def test_a_worker_that_cannot_start_fails_cleanly(self, toric3, monkeypatch, capsys):
-        real_fork = os.fork
-        forks = []
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_a_worker_that_cannot_start_fails_cleanly(self, toric3, monkeypatch, capsys, call):
+        real = getattr(os, call)
+        calls = []
 
-        def fork_once():
-            forks.append(None)
-            if len(forks) == 2:
-                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return real_fork()
+        def fail_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return real(*args)
 
-        monkeypatch.setattr(os, "fork", fork_once)
+        monkeypatch.setattr(os, call, fail_second)
         fds = "/proc/self/fd"
         before = sorted(os.listdir(fds)) if os.path.isdir(fds) else None
         with pytest.raises(ResourceCapError, match="worker 2 of 3 could not start") as capped:
             enumerate_clusters(toric3, 6, sector="full", workers=3)
-        assert isinstance(capped.value.__cause__, BlockingIOError)
+        assert capped.value.__cause__.errno == errno.EMFILE
         if before is not None:
             assert sorted(os.listdir(fds)) == before
         no_child_left()
-        forks.clear()
+        calls.clear()
         argv = ["census", "toric", "--L", "3", "--sector", "full", "--m-max", "6", "--workers", "2"]
         assert main(argv) == 3
         err = capsys.readouterr().err
@@ -775,10 +783,22 @@ class TestMalformedClusters:
             check(toric3, cluster, sector)
 
     @pytest.mark.parametrize("check", CHECKS)
-    def test_negative_position(self, toric2, check):
-        # a negative index must not wrap round to the last column
+    @pytest.mark.parametrize(
+        "positions", [(-1,), (0.0, 1.0), ("a", "b")], ids=["negative", "float", "string"]
+    )
+    def test_position_not_a_column_index(self, toric2, check, positions):
+        # a negative index must not wrap round to the last column, and a
+        # position that is no integer is refused before it indexes anything
         with pytest.raises(ValidationError):
-            check(toric2, Cluster((-1,)), "x")
+            check(toric2, Cluster(positions), "x")
+
+
+def literal_pieces(code, cluster, sector):
+    """The pieces of an undetectable cluster by the oracle's kernel split."""
+    problem = _build_problem(code, sector)
+    entries = problem.entries_of_cluster(cluster)
+    parts = kernel_split_literal([problem.syn[e] for e in entries])
+    return tuple(problem.cluster_of([entries[i] for i in part]) for part in parts)
 
 
 class TestDecompose:
@@ -807,6 +827,21 @@ class TestDecompose:
         parts = decompose(toric4, cl, sector="x")
         assert len(parts) == 3
         assert sorted(p.positions for p in parts) == sorted(tuple(sorted(s)) for s in chosen)
+
+    @pytest.mark.parametrize("L, sector, m_max", [(3, "full", 6), (4, "x", 8)])
+    def test_irreducible_pieces_take_no_kernel(self, monkeypatch, L, sector, m_max):
+        code = toric_code(L)
+        census = enumerate_clusters(code, m_max, sector=sector, keep_clusters=True)
+        kept = [c for group in census.clusters for c in group]
+        irreducible = [c for c in kept if is_irreducible(code, c, sector)]
+        assert len(irreducible) == sum(census.irreducible) < len(kept)
+        kernels = spy_on(monkeypatch, "kernel")
+        for cluster in irreducible:
+            assert decompose(code, cluster, sector) == (cluster,)
+        assert not kernels
+        # the reducible ones split into the long way's pieces, in its order
+        for cluster in kept:
+            assert decompose(code, cluster, sector) == literal_pieces(code, cluster, sector)
 
 
 class TestBounds:
@@ -987,6 +1022,7 @@ class TestRandomCodes:
         # the oracle rejects a detectable piece and finds a reducible one
         for cluster in (c for group in census.clusters for c in group):
             parts = decompose(code, cluster, sector)
+            assert parts == literal_pieces(code, cluster, sector)
             assert sorted(p for part in parts for p in labelled(part)) == labelled(cluster)
             assert all(is_irreducible_bruteforce(code, part, sector) for part in parts)
 
